@@ -72,17 +72,11 @@ let bench_split_consensus () =
       let i = SC.instance c in
       ignore (i.Scs_consensus.Consensus_intf.run ~pid:0 ~old:None 42))
 
-(* One fixed shuffled 40-op queue history (width 6), checked by the seed
-   bitmask oracle and by the scalable engine — the microbench view of
-   experiment T12's table. *)
+(* One fixed shuffled 40-op queue history (width 6) — the microbench view
+   of experiment T12's table. *)
 let lin_bench_ops =
   lazy
     (Scs_experiments.Exp_t12.queue_history (Scs_util.Rng.create 42) ~size:40 ~width:6)
-
-let bench_lin_ref () =
-  let ops = Lazy.force lin_bench_ops in
-  Staged.stage (fun () ->
-      assert (Scs_history.Linearize_ref.check_operations Scs_spec.Objects.queue ops))
 
 let bench_lin_scalable () =
   let ops = Lazy.force lin_bench_ops in
@@ -118,7 +112,6 @@ let tests () =
       Test.make ~name:"F2 speculative lock cycle" (bench_speculative_lock_cycle ());
       Test.make ~name:"T1 splitter split+reset" (bench_splitter_cycle ());
       Test.make ~name:"T3 split-consensus solo decide (incl. alloc)" (bench_split_consensus ());
-      Test.make ~name:"T12 lin-check 40-op queue (seed bitmask)" (bench_lin_ref ());
       Test.make ~name:"T12 lin-check 40-op queue (scalable)" (bench_lin_scalable ());
       Test.make ~name:"S1 zipf cdf 1e6 keys (cold build)" (bench_zipf_cdf_cold ());
       Test.make ~name:"S1 zipf cdf 1e6 keys (shared table)" (bench_zipf_cdf_shared ());

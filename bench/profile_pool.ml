@@ -41,16 +41,16 @@ let install_spec ~obs sim =
   done
 
 let () =
-  (* A: reset + run_fast, obs enabled, fixed rng stream *)
+  (* A: reset + run, obs enabled, fixed rng stream *)
   let obs = Obs.create ~record_ring:false ~n () in
   let sim = Sim.create ~obs ~n () in
   install_spec ~obs sim;
   Sim.snapshot sim;
   let prng = Rng.create 42 in
-  time "A reset+run_fast obs" (fun () ->
+  time "A reset+run obs" (fun () ->
       for i = 1 to runs do
         if i > 1 then Sim.reset sim;
-        Sim.run_fast sim (Policy.fast_random (Rng.split prng))
+        Sim.run sim (Policy.random (Rng.split prng))
       done;
       runs);
 
@@ -59,10 +59,10 @@ let () =
   install_spec ~obs:Obs.null sim2;
   Sim.snapshot sim2;
   let prng = Rng.create 42 in
-  time "B reset+run_fast no-obs" (fun () ->
+  time "B reset+run no-obs" (fun () ->
       for i = 1 to runs do
         if i > 1 then Sim.reset sim2;
-        Sim.run_fast sim2 (Policy.fast_random (Rng.split prng))
+        Sim.run sim2 (Policy.random (Rng.split prng))
       done;
       runs);
 
@@ -88,37 +88,14 @@ let () =
       done;
       runs);
 
-  (* E: full pooled chain incl. drive wrapper *)
-  let obs3 = Obs.create ~record_ring:false ~n () in
-  let sim3 = Sim.create ~obs:obs3 ~n () in
-  install_spec ~obs:obs3 sim3;
-  Sim.snapshot sim3;
-  let plan = Policy.crash_plan ~n in
-  let prng = Rng.create 42 in
-  time "E full pooled chain" (fun () ->
-      for i = 1 to runs do
-        let rng = Rng.split prng in
-        for _ = 0 to n - 1 do
-          ignore (Rng.float rng)
-        done;
-        let seed = Rng.int rng 0x3FFFFFFF in
-        let rng2 = Rng.create seed in
-        let pol_rng = Rng.split rng2 in
-        if i > 1 then Sim.reset sim3;
-        Policy.arm_crashes plan [];
-        try Policy.drive ~crashes:plan sim3 (Policy.fast_random pol_rng)
-        with Sim.Livelock _ -> ()
-      done;
-      runs);
-
-  (* F: fresh sim per run (legacy shape) *)
+  (* F: fresh sim per run (the shape pooling replaced) *)
   let obs4 = Obs.create ~n () in
   let prng = Rng.create 42 in
   time "F fresh create+install+run" (fun () ->
       for _ = 1 to runs do
         let sim = Sim.create ~obs:obs4 ~n () in
         install_spec ~obs:obs4 sim;
-        Sim.run_fast sim (Policy.fast_random (Rng.split prng))
+        Sim.run sim (Policy.random (Rng.split prng))
       done;
       runs)
 
@@ -142,7 +119,7 @@ let () =
     time label (fun () ->
         for i = 1 to runs do
           if i > 1 then Sim.reset sim;
-          Sim.run_fast sim (Policy.fast_random (Rng.split prng))
+          Sim.run sim (Policy.random (Rng.split prng))
         done;
         runs)
   in
@@ -160,7 +137,7 @@ let () =
   let w0 = Gc.minor_words () in
   for i = 1 to runs do
     if i > 1 then Sim.reset sim;
-    Sim.run_fast sim (Policy.fast_random (Rng.split prng))
+    Sim.run sim (Policy.random (Rng.split prng))
   done;
   let w1 = Gc.minor_words () in
   Printf.printf "J alloc/run: %.0f words\n%!" ((w1 -. w0) /. float_of_int runs);
@@ -175,7 +152,7 @@ let () =
   let w0 = Gc.minor_words () in
   for i = 1 to runs do
     if i > 1 then Sim.reset sim2;
-    Sim.run_fast sim2 (Policy.fast_random (Rng.split prng))
+    Sim.run sim2 (Policy.random (Rng.split prng))
   done;
   let w1 = Gc.minor_words () in
   Printf.printf "K alloc/run (4x1 write): %.0f words\n%!" ((w1 -. w0) /. float_of_int runs)

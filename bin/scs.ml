@@ -546,16 +546,8 @@ let stats_cmd =
             "Split each batch across $(docv) OCaml domains, each with a pooled \
              simulator and private obs sink, merged deterministically at join.")
   in
-  let no_pool_arg =
-    Arg.(
-      value & flag
-      & info [ "no-pool" ]
-          ~doc:
-            "Use the legacy fresh-simulator-per-run engine instead of the pooled \
-             reset engine (for before/after comparisons).")
-  in
   let run target list_targets ns n runs seed policy backend crash_prob solo json run_id
-      objects gen_domains no_pool =
+      objects gen_domains =
     if list_targets then begin
       List.iter print_endline (Obs_run.target_names ());
       exit 0
@@ -574,7 +566,7 @@ let stats_cmd =
           if solo then Obs_run.solo ~backend target ~n
           else
             Obs_run.measure ~runs ~seed ~backend ~policy:(make_policy policy) ~crash_prob
-              ~gen_domains ~pooled:(not no_pool) target ~n)
+              ~gen_domains target ~n)
         ns
     in
     let rows =
@@ -702,7 +694,7 @@ let stats_cmd =
     Term.(
       const run $ target_arg $ list_targets_arg $ ns_arg $ n_arg $ runs_arg $ seed_arg
       $ policy_arg $ backend_arg $ crash_prob_arg $ solo_arg $ json_arg $ run_id_arg
-      $ objects_arg $ gen_domains_arg $ no_pool_arg)
+      $ objects_arg $ gen_domains_arg)
 
 (* ---- load ------------------------------------------------------------------ *)
 

@@ -1,27 +1,13 @@
-(** T12 (infrastructure) — Linearizability-checker throughput and
-    differential agreement.
+(** T12 (infrastructure) — Linearizability-checker throughput.
 
-    PR 3 replaced the word-sized-bitmask Wing–Gong checker (62-operation
-    cap, linear-scan memo, trace-order candidate exploration) with a
-    scalable engine: growable bitvector, hashed state memo, and Lowe-style
-    minimal-response-first candidate order. The seed implementation is
-    kept verbatim as [Linearize_ref] — both the differential-testing
-    oracle and the baseline measured here.
-
-    Two phases:
-
-    - {b Throughput}: both checkers verify the same randomly shuffled
-      linearizable queue histories (concurrent batches of width 8) at
-      20 / 62 / 200 / 1000 operations, median wall time over 5 seeds.
-      The reference checker cannot accept more than 62 operations, so
-      larger sizes report "n/a (cap)"; at 62 the new engine must be
-      >= 5x faster (the PR's acceptance bar).
-
-    - {b Differential agreement}: 10,000 random queue histories (4..40
-      operations, width 2..5, with random pending operations and randomly
-      corrupted dequeue responses), each judged by the reference checker,
-      the new engine, and the new engine in Legacy mode — any verdict
-      disagreement is reported (and there must be none). *)
+    The checker is a scalable Wing–Gong search: growable bitvector,
+    hashed state memo, and Lowe-style minimal-response-first candidate
+    order. It verifies randomly shuffled linearizable queue histories
+    (concurrent batches of width 8) at 20 / 62 / 200 / 1000 operations;
+    the table reports the median wall time over 5 seeds. The speed-up
+    over the seed bitmask checker was measured when the engine landed
+    (EXPERIMENTS.md T12); that checker survives only as the differential
+    oracle of test/test_linearize_diff.ml. *)
 
 open Scs_util
 open Scs_spec
@@ -34,10 +20,8 @@ open Scs_history
    then responds to them in generation order, which is therefore a valid
    linearization witness; responses come from threading the sequential
    queue model through that order. The operation list is Fisher–Yates
-   shuffled at the end: verdicts are order-independent, but the reference
-   checker explores candidates in list order (so a shuffled list costs it
-   many failed candidates), while the scalable engine re-sorts by response
-   time internally. *)
+   shuffled at the end: verdicts are order-independent, and the checker
+   re-sorts by response time internally. *)
 let queue_history rng ~size ~width =
   let seq = ref 0 in
   let next () =
@@ -59,7 +43,7 @@ let queue_history rng ~size ~width =
       (* Keep the model queue short: a long queue lets wrong within-batch
          enqueue orders survive unrefuted for many batches (the dequeue
          that would expose them is far away), which makes the search
-         exponential for BOTH checkers — we want hard-but-tractable
+         exponential — we want hard-but-tractable
          instances, not pathological ones. *)
       let payload, resp =
         if Queue.is_empty model || (Queue.length model < 4 && Rng.bool rng) then begin
@@ -89,33 +73,6 @@ let queue_history rng ~size ~width =
   Rng.shuffle rng arr;
   Array.to_list arr
 
-(* Differential-phase variations: forget random responses (the operation
-   becomes pending) and corrupt random dequeue responses (the history
-   usually becomes non-linearizable — either way both checkers must
-   agree). *)
-let vary rng ops =
-  List.map
-    (fun (o : _ Trace.operation) ->
-      if Rng.bernoulli rng 0.1 then { o with Trace.outcome = Trace.Pending }
-      else
-        match o.Trace.outcome with
-        | Trace.Committed ({ resp = Objects.Q_dequeued v; _ } as c)
-          when Rng.bernoulli rng 0.15 ->
-            let v' =
-              match v with
-              | Some x when Rng.bool rng -> Some (x + 1000)
-              | Some _ -> None
-              | None -> Some 999
-            in
-            {
-              o with
-              Trace.outcome = Trace.Committed { c with resp = Objects.Q_dequeued v' };
-            }
-        | _ -> o)
-    ops
-
-(* ---- phase 1: throughput ---------------------------------------------- *)
-
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -130,29 +87,17 @@ let sizes = [ 20; 62; 200; 1000 ]
 let seeds = [ 11; 22; 33; 44; 55 ]
 
 let throughput_row size =
-  let ref_ms = ref [] and new_ms = ref [] in
-  List.iter
-    (fun seed ->
-      let rng = Rng.create ((seed * 7919) + size) in
-      let ops = queue_history rng ~size ~width:8 in
-      if size <= Linearize_ref.max_operations then begin
-        let ok, dt = time (fun () -> Linearize_ref.check_operations Objects.queue ops) in
+  let ms =
+    List.map
+      (fun seed ->
+        let rng = Rng.create ((seed * 7919) + size) in
+        let ops = queue_history rng ~size ~width:8 in
+        let ok, dt = time (fun () -> Linearize.check_operations Objects.queue ops) in
         assert ok;
-        ref_ms := (dt *. 1000.) :: !ref_ms
-      end;
-      let ok, dt = time (fun () -> Linearize.check_operations Objects.queue ops) in
-      assert ok;
-      new_ms := (dt *. 1000.) :: !new_ms)
-    seeds;
-  let new_med = median !new_ms in
-  let ref_cell, speedup_cell =
-    match !ref_ms with
-    | [] -> ("n/a (cap)", "n/a")
-    | ms ->
-        let m = median ms in
-        (Printf.sprintf "%.2f" m, Printf.sprintf "%.0fx" (m /. new_med))
+        dt *. 1000.)
+      seeds
   in
-  [ string_of_int size; ref_cell; Printf.sprintf "%.3f" new_med; speedup_cell ]
+  [ string_of_int size; Printf.sprintf "%.3f" (median ms) ]
 
 let throughput_table () =
   Table.print
@@ -160,38 +105,10 @@ let throughput_table () =
       (Printf.sprintf
          "Shuffled linearizable queue histories, width 8, median over %d seeds"
          (List.length seeds))
-    ~header:[ "ops"; "seed bitmask (ms)"; "scalable (ms)"; "speedup" ]
+    ~header:[ "ops"; "scalable (ms)" ]
     (List.map throughput_row sizes)
 
-(* ---- phase 2: differential agreement ---------------------------------- *)
-
-let differential () =
-  let cases = 10_000 in
-  let rng = Rng.create 0xD1FF in
-  let lin = ref 0 and nonlin = ref 0 and disagree = ref 0 in
-  for _ = 1 to cases do
-    let size = Rng.int_in rng 4 40 in
-    let width = Rng.int_in rng 2 5 in
-    let ops = vary rng (queue_history rng ~size ~width) in
-    let v_ref = Linearize_ref.check_operations Objects.queue ops in
-    let v_new = Linearize.check_operations Objects.queue ops in
-    let v_legacy = Linearize.check_operations ~mode:Linearize.Legacy Objects.queue ops in
-    if v_new then incr lin else incr nonlin;
-    if v_ref <> v_new || v_ref <> v_legacy then incr disagree
-  done;
-  Table.print ~title:"Differential agreement, random queue histories (4..40 ops)"
-    ~header:[ "cases"; "linearizable"; "non-linearizable"; "disagreements" ]
-    [
-      [
-        string_of_int cases; string_of_int !lin; string_of_int !nonlin;
-        string_of_int !disagree;
-      ];
-    ];
-  if !disagree > 0 then failwith "T12: checker disagreement — differential bug"
-
 let run () =
-  Exp_common.section "T12" "Checker throughput: scalable engine vs seed bitmask oracle";
+  Exp_common.section "T12" "Checker throughput: scalable engine";
   throughput_table ();
-  print_newline ();
-  differential ();
   print_newline ()

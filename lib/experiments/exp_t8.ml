@@ -23,9 +23,8 @@ let third_party_fallbacks ~algo ~runs =
             let runnable = Sim.runnable sim in
             let racers = List.filter (fun p -> p < 2) runnable in
             match racers with
-            | _ :: _ -> Sim.Sched (Rng.pick_list rng racers)
-            | [] -> (
-                match runnable with [] -> Sim.Stop | p :: _ -> Sim.Sched p))
+            | _ :: _ -> Rng.pick_list rng racers
+            | [] -> ( match runnable with [] -> -1 | p :: _ -> p))
         ()
     in
     (* p2 ran effectively alone after the collision *)

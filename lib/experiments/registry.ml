@@ -23,7 +23,7 @@ let all =
     };
     {
       id = "T12";
-      title = "Checker throughput: scalable engine vs seed bitmask; differential agreement";
+      title = "Checker throughput: scalable engine";
       run = Exp_t12.run;
     };
     {

@@ -1,11 +1,6 @@
 open Scs_util
 open Scs_spec
 
-type mode = Legacy | Scalable
-
-let max_operations = 62
-
-exception Capacity_exceeded of int
 exception Search_budget_exceeded of int
 
 type ('i, 'r) comp = { c_req : 'i Request.t; c_resp : 'r; c_inv : int; c_res : int }
@@ -33,14 +28,11 @@ let split_ops ops =
   Array.sort (fun a b -> compare a.p_inv b.p_inv) pend;
   (comp, pend)
 
-let check_operations ?(mode = Scalable) ?budget (spec : _ Spec.t) ops =
+let check_operations ?budget (spec : _ Spec.t) ops =
   let comp, pend = split_ops ops in
   let nc = Array.length comp in
   let np = Array.length pend in
   let n = nc + np in
-  (match mode with
-  | Legacy when n > max_operations -> raise (Capacity_exceeded n)
-  | Legacy | Scalable -> ());
   if nc = 0 then true
     (* no completed operation constrains anything: pending/aborted ops may
        all be dropped *)
@@ -136,8 +128,7 @@ let check_operations ?(mode = Scalable) ?budget (spec : _ Spec.t) ops =
     search spec.Spec.init 0 0
   end
 
-let check_events ?mode ?budget spec evs =
-  check_operations ?mode ?budget spec (Trace.operations evs)
+let check_events ?budget spec evs = check_operations ?budget spec (Trace.operations evs)
 
 (* ---- sequential consistency ------------------------------------------- *)
 
@@ -157,11 +148,8 @@ let check_events ?mode ?budget spec evs =
    sequential, i.e. program order is total per pid); on ill-formed input
    the checker still terminates but overlapping same-pid operations are
    ordered by invocation time, which is an arbitrary strengthening. *)
-let check_sc_operations ?(mode = Scalable) ?budget (spec : _ Spec.t) ops =
+let check_sc_operations ?budget (spec : _ Spec.t) ops =
   let n_all = List.length ops in
-  (match mode with
-  | Legacy when n_all > max_operations -> raise (Capacity_exceeded n_all)
-  | Legacy | Scalable -> ());
   (* per-process program-order sequences *)
   let by_pid = Hashtbl.create 8 in
   List.iter
@@ -255,8 +243,7 @@ let check_sc_operations ?(mode = Scalable) ?budget (spec : _ Spec.t) ops =
     search spec.Spec.init 0
   end
 
-let check_sc_events ?mode ?budget spec evs =
-  check_sc_operations ?mode ?budget spec (Trace.operations evs)
+let check_sc_events ?budget spec evs = check_sc_operations ?budget spec (Trace.operations evs)
 
 (* ---- compositional front-end ------------------------------------------ *)
 
@@ -274,11 +261,11 @@ let partition ~key ops =
     ops;
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
 
-let check_partitioned ?mode ?budget ~key ~spec ops =
+let check_partitioned ?budget ~key ~spec ops =
   let parts =
     List.map (fun (k, sub) -> (List.length sub, k, sub)) (partition ~key ops)
   in
   (* cheapest-first: small subhistories refute (or clear) fast, so a
      non-linearizable cheap partition short-circuits the expensive ones *)
   let parts = List.sort (fun (la, _, _) (lb, _, _) -> compare la lb) parts in
-  List.for_all (fun (_, k, sub) -> check_operations ?mode ?budget (spec k) sub) parts
+  List.for_all (fun (_, k, sub) -> check_operations ?budget (spec k) sub) parts

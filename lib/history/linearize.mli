@@ -11,11 +11,10 @@
 
     The engine is a depth-first search over the set of already-linearized
     operations with three structural accelerators over the seed
-    implementation (kept as {!Linearize_ref} for differential testing):
+    implementation (kept in the test suite as a differential oracle):
 
     - the linearized set is a growable {!Scs_util.Bitset} instead of a
-      word-sized [int] bitmask, so there is no 62-operation capacity wall
-      in the default {!Scalable} mode;
+      word-sized [int] bitmask, so there is no operation cap;
     - candidates are tried minimal-response-first (Lowe's just-in-time
       linearization): completed operations are sorted by response time, so
       the most constrained operation is linearized eagerly, the earliest
@@ -46,23 +45,6 @@
 
 open Scs_spec
 
-type mode =
-  | Legacy
-      (** Seed-compatible capacity semantics: raises {!Capacity_exceeded}
-          past {!max_operations} operations (the historical word-sized
-          bitmask limit). The algorithm is the new one either way — only
-          the cap is enforced. *)
-  | Scalable  (** No operation cap. The default. *)
-
-val max_operations : int
-(** 62 — the {!Legacy} capacity, kept for compatibility with callers that
-    gate on history size. {!Scalable} mode ignores it. *)
-
-exception Capacity_exceeded of int
-(** Raised (with the offending operation count) by {!Legacy}-mode checks
-    when a trace exceeds {!max_operations}. Never raised in {!Scalable}
-    mode. *)
-
 exception Search_budget_exceeded of int
 (** Raised (with the exhausted budget) when a [?budget]-bounded check
     visits more search nodes than allowed. The search is exponential in
@@ -73,16 +55,11 @@ exception Search_budget_exceeded of int
     be linearizable. *)
 
 val check_operations :
-  ?mode:mode ->
-  ?budget:int ->
-  ('q, 'i, 'r) Spec.t ->
-  ('i, 'r, 'v) Trace.operation list ->
-  bool
-(** [mode] defaults to {!Scalable}; [budget], if given, bounds the number
-    of search nodes (see {!Search_budget_exceeded}). *)
+  ?budget:int -> ('q, 'i, 'r) Spec.t -> ('i, 'r, 'v) Trace.operation list -> bool
+(** [budget], if given, bounds the number of search nodes (see
+    {!Search_budget_exceeded}). *)
 
 val check_events :
-  ?mode:mode ->
   ?budget:int ->
   ('q, 'i, 'r) Spec.t ->
   ('i, 'r, 'v) Trace.event array ->
@@ -107,7 +84,6 @@ val check_events :
     is unsound for SC. *)
 
 val check_sc_operations :
-  ?mode:mode ->
   ?budget:int ->
   ('q, 'i, 'r) Spec.t ->
   ('i, 'r, 'v) Trace.operation list ->
@@ -118,7 +94,7 @@ val check_sc_operations :
     as in {!check_operations}. The search merges the per-process
     program-order sequences under the same bitset-memoized DFS engine
     (memo key: consumed set × spec state, sound because the consumed
-    set is prefix-closed per process); [mode] and [budget] behave as in
+    set is prefix-closed per process); [budget] behaves as in
     {!check_operations}. Requires a well-formed history: each process's
     operations must be sequential (overlapping same-pid operations are
     ordered by invocation time, an arbitrary strengthening).
@@ -135,7 +111,6 @@ val check_sc_operations :
     property on exactly that class. *)
 
 val check_sc_events :
-  ?mode:mode ->
   ?budget:int ->
   ('q, 'i, 'r) Spec.t ->
   ('i, 'r, 'v) Trace.event array ->
@@ -177,7 +152,6 @@ val check_sc_events :
     (the compositionality theorem). *)
 
 val check_partitioned :
-  ?mode:mode ->
   ?budget:int ->
   key:(('i, 'r, 'v) Trace.operation -> int) ->
   spec:(int -> ('q, 'i, 'r) Spec.t) ->
@@ -186,5 +160,4 @@ val check_partitioned :
 (** [check_partitioned ~key ~spec ops] partitions [ops] by [key] and
     checks each partition [k] against [spec k], cheapest (fewest
     operations) first, failing fast on the first non-linearizable
-    partition. In {!Legacy} mode the 62-operation cap applies to each
-    partition separately, as does [budget]. *)
+    partition. [budget] applies to each partition separately. *)

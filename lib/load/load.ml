@@ -389,17 +389,24 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     let budget = max 1 ((shard_cap - (2 * domains) - 4) / domains) in
     let handles = Array.init domains (fun pid -> Sv.handle (fst !arena) ~pid) in
     let used = Array.make_matrix domains shards 0 in
-    let shard_ops = Array.init shards (fun _ -> Atomic.make 0) in
-    let batches = Atomic.make 0 and batched = Atomic.make 0 in
+    (* Completed client ops, counted here; the batcher counts the cells
+       each shard served (one per [Done] op) and the refused cells its
+       submitters retried. Batcher counts of recycled arenas accumulate
+       in [served]/[refused]. *)
+    let done_ops = Atomic.make 0 in
+    let served = Array.init shards (fun _ -> Atomic.make 0) in
+    let batches = Atomic.make 0 and refused = Atomic.make 0 in
     let mig = ref (Sv.Migration.create ~name:"load.mig.g0" (fst !arena)) in
     let mig_rr = Atomic.make 0 and upd0 = ref 0 in
     let apply ~pid ~key payload =
       let svc, bat = !arena in
       match Sv.Batcher.apply bat ~h:handles.(pid) payload with
       | Sv.Done _ ->
+          Atomic.incr done_ops;
+          (* charged to the route after return: the executing shard
+             unless a migration moved the bucket meanwhile *)
           let b = Scs_shard.Kv.bucket_of_key ~buckets key in
           let s = (Sv.R.route_bucket (Sv.router svc) ~bucket:b).Sv.R.owner in
-          Atomic.incr shard_ops.(s);
           let u = used.(pid).(s) + 1 in
           used.(pid).(s) <- u;
           (f_win lor if u >= budget then f_recycle else 0)
@@ -430,16 +437,25 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     let i_recycle () =
       let _, bat = !arena in
       Atomic.set batches (Atomic.get batches + Sv.Batcher.batches bat);
-      Atomic.set batched (Atomic.get batched + Sv.Batcher.batched_ops bat);
+      Atomic.set refused (Atomic.get refused + Sv.Batcher.refused_ops bat);
+      Array.iteri
+        (fun shard c -> Atomic.set c (Atomic.get c + Sv.Batcher.served_ops bat ~shard))
+        served;
       let g = Atomic.get generation in
       arena := mk ();
       mig := Sv.Migration.create ~name:(spf "load.mig.g%d" g) (fst !arena)
     in
     let i_stats () =
       let _, bat = !arena in
-      (("batches", Atomic.get batches + Sv.Batcher.batches bat)
-      :: ("batched_ops", Atomic.get batched + Sv.Batcher.batched_ops bat)
-      :: List.init shards (fun s -> (spf "shard%d_ops" s, Atomic.get shard_ops.(s))))
+      let refused = Atomic.get refused + Sv.Batcher.refused_ops bat in
+      let served =
+        List.init shards (fun shard -> Atomic.get served.(shard) + Sv.Batcher.served_ops bat ~shard)
+      in
+      ("batches", Atomic.get batches + Sv.Batcher.batches bat)
+      :: ("batched_ops", List.fold_left ( + ) refused served)
+      :: ("refused_cells", refused)
+      :: ("done_ops", Atomic.get done_ops)
+      :: List.mapi (fun s v -> (spf "shard%d_ops" s, v)) served
     in
     { i_read; i_update; i_refresh; i_recycle; i_stats }
 
@@ -713,10 +729,7 @@ let sim_selfcheck ?(seed = 7) ?(backend = Scs_prims.Backend.default) ~n ~ops_per
   (* Sequential policy: always run the lowest runnable pid, so each
      fiber executes to completion in pid order — every operation is
      solo (no step contention). *)
-  Scs_sim.Sim.run sim (fun s ->
-      match Scs_sim.Sim.runnable s with
-      | [] -> Scs_sim.Sim.Stop
-      | p :: _ -> Scs_sim.Sim.Sched p);
+  Scs_sim.Sim.run sim (Scs_sim.Policy.sequential ());
   let rows = !rows in
   let total = List.length rows in
   let aborts = List.fold_left (fun acc (_, _, _, fl) -> acc + flag_aborts fl) 0 rows in

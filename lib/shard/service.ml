@@ -193,7 +193,8 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       locks : P.tas_obj array;  (** combiner locks *)
       cells : int Atomic.t;  (** harness bookkeeping: unique mailbox names *)
       n_batches : int Atomic.t;
-      n_batched : int Atomic.t;
+      served : int Atomic.t array;  (** per shard: cells answered with a result *)
+      n_refused : int Atomic.t;  (** cells answered [Refused] (retried) *)
     }
 
     let create ~name svc =
@@ -205,11 +206,16 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         locks = Array.init (shards svc) (fun s -> P.tas_obj ~name:(spf "%s.lock[%d]" name s) ());
         cells = Atomic.make 0;
         n_batches = Atomic.make 0;
-        n_batched = Atomic.make 0;
+        served = Array.init (shards svc) (fun _ -> Atomic.make 0);
+        n_refused = Atomic.make 0;
       }
 
     let batches t = Atomic.get t.n_batches
-    let batched_ops t = Atomic.get t.n_batched
+    let served_ops t ~shard = Atomic.get t.served.(shard)
+    let refused_ops t = Atomic.get t.n_refused
+
+    let batched_ops t =
+      Array.fold_left (fun acc c -> acc + Atomic.get c) (refused_ops t) t.served
 
     let rec push q cell =
       let old = P.cas_read q in
@@ -244,7 +250,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
                 if r.R.frozen || r.R.owner <> shard then Kv.Refused
                 else apply_on h ~shard c.c_req
               in
-              Atomic.incr t.n_batched;
+              Atomic.incr (match resp with Kv.Refused -> t.n_refused | _ -> t.served.(shard));
               P.write c.c_resp (Some resp))
             batch
 

@@ -181,6 +181,15 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
 
     val batched_ops : t -> int
     (** Cells served across all drains; [batched_ops / batches] is the
-        mean batch size. *)
+        mean batch size. Equals {!refused_ops} plus the sum of
+        {!served_ops} over the shards. *)
+
+    val served_ops : t -> shard:int -> int
+    (** Cells [shard]'s combiner answered with a result: one per client
+        operation that returned [Done] through this shard. *)
+
+    val refused_ops : t -> int
+    (** Cells answered [Refused] (the bucket was frozen or had moved),
+        each retried by its submitter. *)
   end
 end

@@ -1,7 +1,7 @@
 (* Crash-event specifications: which process crashes, when, and whether
-   (and after how long) it recovers. Shared by the crash-injecting
-   policies, the fuzzer's violation records, the shrinker and the
-   [.scsrepro] textual format. *)
+   (and after how long) it recovers. Shared by the scheduling loop's
+   crash injection, the fuzzer's violation records, the shrinker and
+   the [.scsrepro] textual format. *)
 
 type t = { pid : int; at : int; recover : int option }
 
@@ -62,3 +62,24 @@ let list_of_string s =
     go [] parts
 
 let pp fmt c = Format.pp_print_string fmt (to_string c)
+
+(* Per-pid event queues, each in canonical (ascending trigger) order, and
+   the number of events not yet fired. *)
+type plan = { mutable left : int; queues : t list array }
+
+let plan ~n events =
+  let queues = Array.make n [] in
+  let events = canonical events in
+  List.iter (fun c -> queues.(c.pid) <- queues.(c.pid) @ [ c ]) events;
+  { left = List.length events; queues }
+
+let fire plan ~due f =
+  if plan.left > 0 then
+    for p = 0 to Array.length plan.queues - 1 do
+      match Array.unsafe_get plan.queues p with
+      | c :: rest when due c ->
+          f c;
+          Array.unsafe_set plan.queues p rest;
+          plan.left <- plan.left - 1
+      | _ -> ()
+    done

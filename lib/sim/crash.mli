@@ -2,11 +2,11 @@
 
     A crash event names a victim process [pid], a trigger threshold [at]
     (the event fires once the victim has executed at least [at] memory
-    steps — the same per-process step clock as
-    {!Policy.with_crash_events}), and an optional recovery delay: [None]
-    is a terminal, fail-stop crash; [Some d] re-admits the process's
-    registered recovery code {!Sim.set_recovery} after [d] further
-    global memory steps.
+    steps — the per-process step clock {!Sim.steps_of}), and an optional
+    recovery delay: [None] is a terminal, fail-stop crash; [Some d]
+    re-admits the process's registered recovery code {!Sim.set_recovery}
+    after [d] further global memory steps. {!Sim.run}'s [?crashes]
+    argument injects them.
 
     The textual forms round-trip through the [.scsrepro] format:
     [pid@at] for a terminal crash and [pid@at+d] for a recovering one;
@@ -26,7 +26,7 @@ val equal : t -> t -> bool
 
 val canonical : t list -> t list
 (** Sorted (ascending pid, then trigger step) with duplicates removed —
-    the firing order the crash-arming policies use. *)
+    the order in which {!Sim.run} fires events. *)
 
 val to_string : t -> string
 val of_string : string -> t option
@@ -35,3 +35,20 @@ val list_to_string : t list -> string
 
 val list_of_string : string -> t list option
 val pp : Format.formatter -> t -> unit
+
+(** {1 Crash plans}
+
+    The scheduling loop's view of an event list: one queue per pid. *)
+
+type plan
+
+val plan : n:int -> t list -> plan
+(** Queue the {!canonical} events per pid ([0 <= pid < n]). *)
+
+val fire : plan -> due:(t -> bool) -> (t -> unit) -> unit
+(** [fire plan ~due f] visits the pids in ascending order and, for each
+    whose next queued event satisfies [due], applies [f] to it and
+    dequeues it: at most one event per pid per call. A pid's later
+    events wait behind its head, so when [due] refuses a
+    crashed-awaiting-recovery victim, a second crash event lands on the
+    recovered incarnation rather than being swallowed. *)

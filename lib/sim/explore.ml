@@ -351,6 +351,6 @@ let random_runs ?(runs = 200) ?(seed = 42) ~n ~setup ~check () =
   for i = 1 to runs do
     if i > 1 then Sim.clear sim;
     setup sim;
-    Sim.run_fast sim (Policy.fast_random (Rng.split rng));
+    Sim.run sim (Policy.random (Rng.split rng));
     check sim
   done

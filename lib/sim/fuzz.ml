@@ -82,9 +82,7 @@ type report = {
   r_seed : int;
   r_stats : policy_stats list;
   r_violations : violation list;
-  r_pool : Pool.stats;
-      (** simulator-pool totals across all policies and gen domains
-          (all-zero when [~pool:false]) *)
+  r_pool : Pool.stats;  (** simulator-pool totals across all policies and gen domains *)
 }
 
 let schedules_per_sec s = if s.s_wall > 0.0 then float_of_int s.s_runs /. s.s_wall else 0.0
@@ -135,17 +133,6 @@ let base_policy kind rng n =
       Policy.weighted rng w
   | Pct k -> Policy.pct rng ~k ~depth:(16 * n)
 
-(* Fast counterparts, consuming the Rng stream identically — a pooled
-   fast run is bit-identical to a fresh boxed run (test_pool.ml). *)
-let fast_base_policy kind rng n =
-  match kind with
-  | Uniform -> Policy.fast_random rng
-  | Sticky p -> Policy.fast_sticky rng ~switch_prob:p
-  | Weighted ->
-      let w = Array.init n (fun _ -> float_of_int (1 lsl Rng.int rng 5)) in
-      Policy.fast_weighted rng w
-  | Pct k -> Policy.fast_pct rng ~k ~depth:(16 * n)
-
 (* Crash events for one run. With [recover = false] the Rng draws are
    exactly the historic [gen_crashes] stream (one bernoulli per pid plus
    one int per victim), so fail-stop portfolios keep their seed-for-seed
@@ -180,24 +167,24 @@ let gen_crash_events ~recover rng n max_crash_steps =
 (* Replay a captured [(schedule, crashes)] pair against a fresh simulator.
    Strict scripting: any divergence from the recorded schedule raises
    [Policy.Replay_drift] instead of silently executing a different run.
-   The crash wrapper sits outside the script, mirroring the fuzz loop
-   ([with_crash_events] fires on [Sim.steps_of], which evolves identically
-   for identical executed turn prefixes; recovery re-admission is
-   clock-driven and therefore equally deterministic). *)
+   Crashes fire exactly as in the fuzz loop (on [Sim.steps_of], which
+   evolves identically for identical executed turn prefixes; recovery
+   re-admission is clock-driven and therefore equally deterministic). *)
 let replay ?max_steps ~n ~setup ~schedule ~crashes () =
   let sim = Sim.create ?max_steps ~n () in
   setup sim;
-  Sim.run sim (Policy.with_crash_events crashes (Policy.scripted ~strict:true schedule));
+  Sim.run ~crashes sim (Policy.scripted ~strict:true schedule);
   sim
 
 let now = Unix.gettimeofday
 
-(* Histories past the legacy 62-operation cap used to be skipped; the
-   scalable checker verifies them instead, and workload checks report
-   them here so fuzz stats can show the cap is really gone. A global
-   atomic (snapshotted around each policy batch, whose verifications are
-   joined before the snapshot is read) stays correct when checks run on
-   worker domains. *)
+(* Histories of more than [large_history] operations were skipped before
+   the scalable checker existed (the seed checker's 62-operation cap);
+   workload checks report them here so fuzz stats can show that such
+   runs are verified. A global atomic (snapshotted around each policy
+   batch, whose verifications are joined before the snapshot is read)
+   stays correct when checks run on worker domains. *)
+let large_history = 62
 let large_counter = Atomic.make 0
 let checked_large () = Atomic.incr large_counter
 
@@ -273,7 +260,7 @@ type partial = {
 
 let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
     ?(max_violations = max_int) ?(seed = 1) ?max_steps ?(max_crash_steps = 15)
-    ?(check_domains = 1) ?(gen_domains = 1) ?(pool = true) ?(obs = Scs_obs.Obs.null) ~workload
+    ?(check_domains = 1) ?(gen_domains = 1) ?(obs = Scs_obs.Obs.null) ~workload
     ~n ~instantiate () =
   let gen_domains = max 1 gen_domains in
   let pool_totals = Pool.zero_stats () in
@@ -315,7 +302,6 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
             }
           in
           let sim_pool = Pool.create ?max_steps ~obs:dobs ~n () in
-          let plan = Policy.crash_plan ~n in
           let buf : int Vec.t = Vec.create () in
           let sc_first = Array.make n 0 and sc_last = Array.make n 0 in
           let sc_count = Array.make n 0 in
@@ -365,86 +351,42 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
             let run_seed = Rng.int prng 0x3FFFFFFF in
             let rng = Rng.create run_seed in
             let setup, check = instantiate () in
-            if pool then begin
-              let sim = Pool.acquire sim_pool in
-              setup sim;
-              let crashes =
-                if spec.crash_faults then
-                  gen_crash_events ~recover:spec.crash_recover rng n max_crash_steps
-                else []
-              in
-              Vec.clear buf;
-              let fast = fast_base_policy spec.kind rng n in
-              let ok =
-                try
-                  (match crashes with
-                  | [] -> Policy.drive ~capture:buf sim fast
-                  | cs ->
-                      Policy.arm_crash_events plan cs;
-                      Policy.drive ~capture:buf ~crashes:plan sim fast);
-                  true
-                with
-                | Violation msg ->
-                    (* a check raised from inside a process fiber *)
-                    record_violation gidx run_seed (Vec.to_array buf) crashes msg;
-                    false
-                | Skip _ | Sim.Livelock _ ->
-                    part.p_skipped <- part.p_skipped + 1;
-                    false
-              in
-              Vec.push part.p_steps (float_of_int (Sim.total_steps sim));
-              let c = schedule_contention_into ~n ~first:sc_first ~last:sc_last ~count:sc_count buf in
-              if c > part.p_max_cont then part.p_max_cont <- c;
-              part.p_turns <- part.p_turns + Vec.length buf;
-              if ok then
-                Vec.push pending
-                  {
-                    pd_run = gidx;
-                    pd_seed = run_seed;
-                    pd_schedule = Vec.to_array buf;
-                    pd_crashes = crashes;
-                    pd_check = (fun () -> check sim);
-                    pd_done = (fun () -> Pool.release sim_pool sim);
-                  }
-              else Pool.release sim_pool sim
-            end
-            else begin
-              (* fresh-simulator reference path: one Sim.create and boxed
-                 policy wrappers per run, the differential baseline for
-                 test_pool.ml *)
-              let sim = Sim.create ?max_steps ~obs:dobs ~n () in
-              setup sim;
-              let crashes =
-                if spec.crash_faults then
-                  gen_crash_events ~recover:spec.crash_recover rng n max_crash_steps
-                else []
-              in
-              let fbuf = Vec.create () in
-              let pol =
-                Policy.with_crash_events crashes
-                  (Policy.capture fbuf (base_policy spec.kind rng n))
-              in
-              (try
-                 Sim.run sim pol;
-                 Vec.push pending
-                   {
-                     pd_run = gidx;
-                     pd_seed = run_seed;
-                     pd_schedule = Vec.to_array fbuf;
-                     pd_crashes = crashes;
-                     pd_check = (fun () -> check sim);
-                     pd_done = ignore;
-                   }
-               with
-              | Violation msg -> record_violation gidx run_seed (Vec.to_array fbuf) crashes msg
-              | Skip _ | Sim.Livelock _ -> part.p_skipped <- part.p_skipped + 1);
-              Vec.push part.p_steps (float_of_int (Sim.total_steps sim));
-              let c =
-                schedule_contention_into ~n ~first:sc_first ~last:sc_last ~count:sc_count fbuf
-              in
-              if c > part.p_max_cont then part.p_max_cont <- c;
-              part.p_turns <- part.p_turns + Vec.length fbuf
-            end;
+            let sim = Pool.acquire sim_pool in
+            setup sim;
+            let crashes =
+              if spec.crash_faults then
+                gen_crash_events ~recover:spec.crash_recover rng n max_crash_steps
+              else []
+            in
+            Vec.clear buf;
+            let ok =
+              try
+                Sim.run ~capture:buf ~crashes sim (base_policy spec.kind rng n);
+                true
+              with
+              | Violation msg ->
+                  (* a check raised from inside a process fiber *)
+                  record_violation gidx run_seed (Vec.to_array buf) crashes msg;
+                  false
+              | Skip _ | Sim.Livelock _ ->
+                  part.p_skipped <- part.p_skipped + 1;
+                  false
+            in
+            Vec.push part.p_steps (float_of_int (Sim.total_steps sim));
+            let c = schedule_contention_into ~n ~first:sc_first ~last:sc_last ~count:sc_count buf in
+            if c > part.p_max_cont then part.p_max_cont <- c;
+            part.p_turns <- part.p_turns + Vec.length buf;
+            if ok then
+              Vec.push pending
+                {
+                  pd_run = gidx;
+                  pd_seed = run_seed;
+                  pd_schedule = Vec.to_array buf;
+                  pd_crashes = crashes;
+                  pd_check = (fun () -> check sim);
+                  pd_done = (fun () -> Pool.release sim_pool sim);
+                }
+            else Pool.release sim_pool sim;
             part.p_runs <- part.p_runs + 1;
             if Vec.length pending >= chunk_size then flush ()
           done;

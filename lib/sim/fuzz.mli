@@ -3,8 +3,8 @@
     The fuzz engine runs seeded batches of simulations against a [check]
     predicate under a portfolio of schedule policies — uniform random,
     sticky, weighted, PCT-style priority scheduling, and crash-injecting
-    variants — and records the complete pid schedule of every run via
-    {!Policy.capture}. A failure is therefore deterministic by
+    variants — and records the complete pid schedule of every run
+    ({!Sim.run}'s [?capture]). A failure is therefore deterministic by
     construction: the recorded [(n, schedule, crashes)] triple replays
     bit-for-bit with {!replay} (strict scripting, {!Policy.Replay_drift}
     on divergence), independent of RNG state, and serialises to a compact
@@ -20,13 +20,17 @@ exception Skip of string
 (** Raised by [check] functions when a run cannot be judged. Counted in
     {!policy_stats.s_skipped}, never treated as a failure. Since the
     scalable linearizability checker landed, no stock workload skips for
-    history size any more — past-cap histories are checked and counted
+    history size any more — large histories are checked and counted
     via {!checked_large} instead. *)
 
+val large_history : int
+(** 62: the operation count beyond which a history counts as large —
+    the seed checker's capacity, past which such runs used to be
+    skipped. *)
+
 val checked_large : unit -> unit
-(** Called by [check] functions that verified a history larger than the
-    legacy {!Scs_history.Linearize.max_operations} cap (such runs were
-    skipped before the scalable checker). Counted per policy in
+(** Called by [check] functions that verified a history of more than
+    {!large_history} operations. Counted per policy in
     {!policy_stats.s_checked_large}; safe to call from verification
     worker domains. *)
 
@@ -71,6 +75,17 @@ val portfolio_of_string : string -> policy_spec list option
     ["uniform"], ["sticky"], ["weighted"], ["pct"], ["crash"] (single
     specs) and ["crash-recover"] ({!recover_portfolio}). *)
 
+val base_policy : sched_kind -> Scs_util.Rng.t -> int -> Policy.t
+(** [base_policy kind rng n]: the policy one run of [kind] uses at [n]
+    processes, drawing from [rng] ([Weighted] draws its per-run weights
+    first). *)
+
+val gen_crash_events : recover:bool -> Scs_util.Rng.t -> int -> int -> Crash.t list
+(** [gen_crash_events ~recover rng n max_crash_steps]: one run's crash
+    events — each pid independently with probability 1/4, after
+    1..[max_crash_steps] of its steps; with [recover], usually
+    recovering and sometimes crashing again. *)
+
 (** {1 Reports} *)
 
 type violation = {
@@ -90,8 +105,8 @@ type policy_stats = {
   s_violations : int;
   s_skipped : int;  (** {!Skip} + livelocked runs *)
   s_checked_large : int;
-      (** runs whose history exceeded the legacy 62-op linearizer cap and
-          were checked anyway (see {!checked_large}) *)
+      (** runs whose history exceeded {!large_history} operations (see
+          {!checked_large}) *)
   s_check_wall : float;
       (** seconds spent inside [check], summed across runs (and across
           verification domains, so it can exceed elapsed wall time) *)
@@ -124,8 +139,7 @@ type report = {
   r_violations : violation list;
   r_pool : Pool.stats;
       (** simulator-pool totals across all policies and gen domains:
-          resets vs fresh creates and peak arena sizes (all-zero under
-          [~pool:false]) *)
+          resets vs fresh creates and peak arena sizes *)
 }
 
 val schedules_per_sec : policy_stats -> float
@@ -151,7 +165,6 @@ val run :
   ?max_crash_steps:int ->
   ?check_domains:int ->
   ?gen_domains:int ->
-  ?pool:bool ->
   ?obs:Scs_obs.Obs.t ->
   workload:string ->
   n:int ->
@@ -163,9 +176,11 @@ val run :
     wall-clock seconds, each policy stopping once it has found
     [max_violations] violations of its own (so every portfolio member
     reports its own time-to-first-failure). Each run calls [instantiate]
-    for a fresh linked [(setup, check)] pair, builds a fresh sim, applies
-    [setup] (which spawns the processes), drives it under the policy with
-    the schedule captured, then applies [check], interpreting {!Violation}
+    for a fresh linked [(setup, check)] pair, takes a cleared simulator
+    from the domain's {!Pool} (rewound with {!Sim.clear}, so harness
+    cost is paid once per pooled instance), applies [setup] (which
+    spawns the processes), drives it under the policy with the schedule
+    captured, then applies [check], interpreting {!Violation}
     as a failure and {!Skip} / {!Sim.Livelock} as a skipped run.
     Crash-fault specs crash each pid with probability 1/4 after
     1..[max_crash_steps] (default 15) memory steps.
@@ -194,13 +209,9 @@ val run :
     applies within each gen domain. [max_violations] becomes a shared
     budget across gen domains.
 
-    [pool] (default [true]) reuses one pooled simulator per gen domain
-    across runs ({!Pool}): the simulator is rewound with {!Sim.clear}
-    and re-[setup] instead of reallocated, and the schedule loop runs
-    the allocation-free fast-policy protocol ({!Policy.drive}).
-    Verdicts, schedules and obs counters are bit-identical to
-    [~pool:false] (the fresh-simulator reference path, kept for
-    differential testing — see test_pool.ml).
+    Verdicts, schedules and obs counters are those of a fresh simulator
+    per run: test/test_pool.ml keeps that fresh-simulator loop as the
+    oracle for pooled reuse.
 
     [obs] (default {!Scs_obs.Obs.null}) is attached to every run's
     simulator, aggregating counters across the whole campaign; it
@@ -218,7 +229,7 @@ val replay :
   unit ->
   Sim.t
 (** Re-execute a recorded run against a fresh simulator using
-    [Policy.scripted ~strict:true] under the same crash-event wrapper;
+    [Policy.scripted ~strict:true] under the same crash events;
     raises {!Policy.Replay_drift} if the schedule does not replay.
     Recovery re-admission is clock-driven, so recovering crashes replay
     as deterministically as terminal ones. The caller applies its check
@@ -269,8 +280,8 @@ val render_lanes :
 (** Per-process lane view of a schedule: one row per pid, [#] on its
     turns, [.] elsewhere, plus a turn ruler. Crash markers are rendered
     in-lane: an [X] at the point where the crash policy retired the
-    process (one cell past its last executed turn — see
-    {!Policy.with_crash_events} step accounting) and, for a crash that
+    process (one cell past its last executed turn — see {!Sim.run}'s
+    crash injection) and, for a crash that
     later recovers, an [R] on the process's first turn after the crash
     (the re-admitted recovery code's first turn) — so a recovered crash
     reads [X…R] along the lane while a terminal one is a bare [X]. The

@@ -1,22 +1,28 @@
 open Scs_util
 
-type t = Sim.t -> Sim.decision
+(* Policies return a pid, or -1 to stop, and consult the runnable set
+   through the simulator's bitmask — no per-turn list or boxed
+   allocation. Each randomized policy's Rng draws (order and quantity)
+   are pinned by test_policy.ml, which is what keeps fuzz seeds and
+   recorded schedules stable. *)
+
+type t = Sim.t -> int
 
 exception Replay_drift of int
 
-let pick_runnable sim = match Sim.runnable sim with [] -> None | p :: _ -> Some p
+let stop = -1
 
 let round_robin () =
   let last = ref (-1) in
   fun sim ->
     let n = Sim.n sim in
     let rec find k =
-      if k > n then Sim.Stop
+      if k > n then stop
       else begin
         let cand = (!last + k) mod n in
         if Sim.is_runnable sim cand then begin
           last := cand;
-          Sim.Sched cand
+          cand
         end
         else find (k + 1)
       end
@@ -24,187 +30,14 @@ let round_robin () =
     find 1
 
 let random rng sim =
-  match Sim.runnable sim with
-  | [] -> Sim.Stop
-  | ps -> Sim.Sched (Rng.pick_list rng ps)
-
-let weighted rng weights sim =
-  let ps = List.filter (fun p -> p < Array.length weights && weights.(p) > 0.0) (Sim.runnable sim) in
-  match ps with
-  | [] -> Sim.Stop
-  | ps ->
-      let total = List.fold_left (fun acc p -> acc +. weights.(p)) 0.0 ps in
-      let x = Rng.float rng *. total in
-      let rec go acc = function
-        | [] -> Sim.Stop
-        | [ p ] -> Sim.Sched p
-        | p :: rest ->
-            let acc = acc +. weights.(p) in
-            if x < acc then Sim.Sched p else go acc rest
-      in
-      go 0.0 ps
-
-let sticky rng ~switch_prob =
-  let current = ref None in
-  fun sim ->
-    let pick () =
-      match Sim.runnable sim with
-      | [] -> Sim.Stop
-      | ps ->
-          let p = Rng.pick_list rng ps in
-          current := Some p;
-          Sim.Sched p
-    in
-    match !current with
-    | Some p when Sim.is_runnable sim p && not (Rng.bernoulli rng switch_prob) -> Sim.Sched p
-    | _ -> pick ()
-
-(* PCT (probabilistic concurrency testing, Burckhardt et al., ASPLOS'10):
-   distinct random priorities, always run the highest-priority runnable
-   process, and at [k - 1] turn indices drawn uniformly from [1, depth]
-   demote the process about to run below every other priority. Bugs that
-   need few preemptions are found with probability >= 1/(n * depth^(k-1)),
-   independent of how rare they are under uniform random scheduling. *)
-let pct rng ~k ~depth =
-  let prio = ref [||] in
-  let change_at = ref [] in
-  let turn = ref 0 in
-  fun sim ->
-    if Array.length !prio = 0 then begin
-      let n = Sim.n sim in
-      let a = Array.init n (fun i -> i + 1) in
-      Rng.shuffle rng a;
-      prio := a;
-      change_at := List.init (max 0 (k - 1)) (fun _ -> 1 + Rng.int rng (max 1 depth))
-    end;
-    match Sim.runnable sim with
-    | [] -> Sim.Stop
-    | p :: ps ->
-        incr turn;
-        let best =
-          List.fold_left (fun b q -> if (!prio).(q) > (!prio).(b) then q else b) p ps
-        in
-        (* demotion below every initial priority; later demotions go lower
-           still, so demoted processes keep their relative order *)
-        if List.mem !turn !change_at then (!prio).(best) <- - !turn;
-        Sim.Sched best
-
-let solo pid sim = if Sim.is_runnable sim pid then Sim.Sched pid else Sim.Stop
-
-let sequential () =
- fun sim ->
-  match Sim.runnable sim with [] -> Sim.Stop | p :: _ -> Sim.Sched p
-
-let scripted ?(strict = false) script =
-  let i = ref 0 in
-  fun sim ->
-    let rec go () =
-      if !i >= Array.length script then Sim.Stop
-      else begin
-        let p = script.(!i) in
-        incr i;
-        if Sim.is_runnable sim p then Sim.Sched p
-        else if strict then raise (Replay_drift p)
-        else go ()
-      end
-    in
-    go ()
-
-let scripted_then ?(strict = false) script fallback =
-  let i = ref 0 in
-  fun sim ->
-    let rec go () =
-      if !i >= Array.length script then fallback sim
-      else begin
-        let p = script.(!i) in
-        incr i;
-        if Sim.is_runnable sim p then Sim.Sched p
-        else if strict then raise (Replay_drift p)
-        else go ()
-      end
-    in
-    go ()
-
-let with_crashes crashes inner =
-  let pending = ref crashes in
-  fun sim ->
-    pending :=
-      List.filter
-        (fun (p, k) ->
-          if Sim.steps_of sim p >= k then begin
-            Sim.crash sim p;
-            false
-          end
-          else true)
-        !pending;
-    inner sim
-
-let with_crash_events events inner =
-  (* Per-pid event queues, built lazily (the simulator's [n] is unknown
-     until the first turn). Each turn fires at most the head event of
-     each queue, in ascending pid order — the same firing order as
-     {!with_crashes} on the historic pair lists, and exactly the order
-     {!drive}'s flat plan uses. A queue's head is held back while its
-     process is crashed-awaiting-recovery, so a second crash event lands
-     on the recovered incarnation rather than being swallowed. *)
-  let queues = ref [||] in
-  fun sim ->
-    let evs =
-      if Array.length !queues > 0 || events = [] then !queues
-      else begin
-        let a = Array.make (Sim.n sim) [] in
-        List.iter (fun (c : Crash.t) -> a.(c.pid) <- a.(c.pid) @ [ c ]) (Crash.canonical events);
-        queues := a;
-        a
-      end
-    in
-    for p = 0 to Array.length evs - 1 do
-      match evs.(p) with
-      | (c : Crash.t) :: rest when Sim.steps_of sim p >= c.at && not (Sim.is_crashed sim p) ->
-          Sim.crash ?recover_after:c.recover sim p;
-          evs.(p) <- rest
-      | _ -> ()
-    done;
-    inner sim
-
-let stop_when pred inner = fun sim -> if pred sim then Sim.Stop else inner sim
-
-let capture buf inner sim =
-  match inner sim with
-  | Sim.Stop -> Sim.Stop
-  | Sim.Sched p as d ->
-      Vec.push buf p;
-      d
-
-(* ------------------------------------------------------------------ *)
-(* Allocation-free (fast) protocol                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Fast policies return a pid, or -1 for Stop, and consult the runnable
-   set through the simulator's bitmask — no per-turn list or [decision]
-   allocation. Each randomized fast policy consumes its Rng stream in
-   exactly the same order and quantity as its boxed counterpart above,
-   which is what makes pooled fast runs bit-identical to fresh boxed
-   runs (checked by test_pool.ml). *)
-
-type fast = Sim.t -> int
-
-let stop = -1
-
-let of_fast f sim =
-  let p = f sim in
-  if p >= 0 then Sim.Sched p else Sim.Stop
-
-let to_fast t sim = match t sim with Sim.Sched p -> p | Sim.Stop -> -1
-
-let fast_random rng sim =
   let c = Sim.runnable_count sim in
   if c = 0 then stop else Sim.nth_runnable sim (Rng.int rng c)
 
-let fast_weighted rng weights sim =
-  (* Mirrors [weighted]: filter in ascending pid order, sum in the same
-     order (float addition is order-sensitive), one [Rng.float] draw iff
-     some pid qualifies, last qualifying pid as the fallback. *)
+let weighted rng weights sim =
+  (* Qualifying pids (runnable, positive weight) in ascending order; the
+     total is summed in that order (float addition is order-sensitive),
+     one [Rng.float] draw is taken iff some pid qualifies, and the last
+     qualifying pid is the fallback. *)
   let nw = Array.length weights in
   let bits = Sim.runnable_bits sim in
   let total = ref 0.0 and count = ref 0 and last = ref (-1) in
@@ -236,7 +69,7 @@ let fast_weighted rng weights sim =
     !chosen
   end
 
-let fast_sticky rng ~switch_prob =
+let sticky rng ~switch_prob =
   let current = ref (-1) in
   fun sim ->
     let cur = !current in
@@ -251,7 +84,13 @@ let fast_sticky rng ~switch_prob =
       end
     end
 
-let fast_pct rng ~k ~depth =
+(* PCT (probabilistic concurrency testing, Burckhardt et al., ASPLOS'10):
+   distinct random priorities, always run the highest-priority runnable
+   process, and at [k - 1] turn indices drawn uniformly from [1, depth]
+   demote the process about to run below every other priority. Bugs that
+   need few preemptions are found with probability >= 1/(n * depth^(k-1)),
+   independent of how rare they are under uniform random scheduling. *)
+let pct rng ~k ~depth =
   let prio = ref [||] in
   let change_at = ref [] in
   let turn = ref 0 in
@@ -268,21 +107,22 @@ let fast_pct rng ~k ~depth =
     else begin
       incr turn;
       let prio = !prio in
-      (* first maximum in ascending pid order = the boxed fold over the
-         runnable list *)
+      (* first maximum in ascending pid order *)
       let best = ref (-1) and b = ref bits and p = ref 0 in
       while !b <> 0 do
         if !b land 1 = 1 && (!best < 0 || prio.(!p) > prio.(!best)) then best := !p;
         b := !b lsr 1;
         incr p
       done;
+      (* demotion below every initial priority; later demotions go lower
+         still, so demoted processes keep their relative order *)
       if List.mem !turn !change_at then prio.(!best) <- - !turn;
       !best
     end
 
-let fast_solo pid sim = if Sim.is_runnable sim pid then pid else stop
+let solo pid sim = if Sim.is_runnable sim pid then pid else stop
 
-let fast_sequential () =
+let sequential () =
  fun sim ->
   let bits = Sim.runnable_bits sim in
   if bits = 0 then stop
@@ -296,28 +136,11 @@ let fast_sequential () =
     !p
   end
 
-let fast_round_robin () =
-  let last = ref (-1) in
-  fun sim ->
-    let n = Sim.n sim in
-    let rec find k =
-      if k > n then stop
-      else begin
-        let cand = (!last + k) mod n in
-        if Sim.is_runnable sim cand then begin
-          last := cand;
-          cand
-        end
-        else find (k + 1)
-      end
-    in
-    find 1
-
-let fast_scripted ?(strict = false) script =
+let scripted_then ?(strict = false) script fallback =
   let i = ref 0 in
   fun sim ->
     let rec go () =
-      if !i >= Array.length script then stop
+      if !i >= Array.length script then fallback sim
       else begin
         let p = script.(!i) in
         incr i;
@@ -328,56 +151,5 @@ let fast_scripted ?(strict = false) script =
     in
     go ()
 
-(* ------------------------------------------------------------------ *)
-(* Crash plans and the flat drive loop                                 *)
-(* ------------------------------------------------------------------ *)
-
-type crash_plan = { mutable cp_left : int; cp_events : Crash.t list array }
-
-let crash_plan ~n = { cp_left = 0; cp_events = Array.make n [] }
-
-let arm_crash_events plan events =
-  Array.fill plan.cp_events 0 (Array.length plan.cp_events) [];
-  plan.cp_left <- 0;
-  List.iter
-    (fun (c : Crash.t) ->
-      plan.cp_events.(c.pid) <- plan.cp_events.(c.pid) @ [ c ];
-      plan.cp_left <- plan.cp_left + 1)
-    (Crash.canonical events)
-
-let arm_crashes plan crashes = arm_crash_events plan (Crash.of_pairs crashes)
-
-let drive ?capture ?crashes sim fast =
-  let ms = Sim.max_steps sim in
-  let rec loop () =
-    if Sim.clock sim > ms then
-      raise
-        (Sim.Livelock (Printf.sprintf "step budget %d exhausted at clock %d" ms (Sim.clock sim)));
-    if Sim.runnable_bits sim = 0 then ignore (Sim.admit_stalled_recovery sim);
-    if Sim.runnable_bits sim <> 0 then begin
-      (* fire due crash events in ascending pid order, exactly as the
-         [with_crashes]/[with_crash_events] wrappers do; at most one
-         event per pid per turn, and a pid's next event is held while it
-         is crashed-awaiting-recovery *)
-      (match crashes with
-      | Some plan when plan.cp_left > 0 ->
-          let evs = plan.cp_events in
-          for p = 0 to Array.length evs - 1 do
-            match Array.unsafe_get evs p with
-            | (c : Crash.t) :: rest when Sim.steps_of sim p >= c.at && not (Sim.is_crashed sim p)
-              ->
-                Sim.crash ?recover_after:c.recover sim p;
-                Array.unsafe_set evs p rest;
-                plan.cp_left <- plan.cp_left - 1
-            | _ -> ()
-          done
-      | _ -> ());
-      let p = fast sim in
-      if p >= 0 then begin
-        (match capture with Some buf -> Vec.push buf p | None -> ());
-        Sim.step sim p;
-        loop ()
-      end
-    end
-  in
-  loop ()
+let scripted ?strict script = scripted_then ?strict script (fun _ -> stop)
+let stop_when pred inner sim = if pred sim then stop else inner sim

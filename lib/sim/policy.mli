@@ -1,9 +1,16 @@
 (** Schedule policies: adversaries that pick which process moves next.
 
-    Policies are stateful closures, so every function here returns a fresh
-    policy; reusing one across runs would leak state between simulations. *)
+    A policy returns the runnable pid to schedule, or a negative int to
+    stop, and reads the runnable set through {!Sim.runnable_bits}, so
+    the scheduling loop ({!Sim.run}) allocates nothing per turn. A
+    custom policy is any [Sim.t -> int] function.
 
-type t = Sim.t -> Sim.decision
+    Policies are stateful closures, so every function here returns a fresh
+    policy; reusing one across runs would leak state between simulations.
+    The randomized policies' Rng streams are pinned (test/test_policy.ml):
+    a seed names the same schedule across versions. *)
+
+type t = Sim.t -> int
 
 exception Replay_drift of int
 (** Raised by strict scripted policies when the scripted pid is not
@@ -54,83 +61,5 @@ val scripted_then : ?strict:bool -> Sim.pid array -> t -> t
 (** Follow the script, then delegate to the fallback policy. [?strict]
     as in {!scripted}. *)
 
-val with_crashes : (Sim.pid * int) list -> t -> t
-(** [with_crashes [(p, k); ...] inner] crashes process [p] as soon as it has
-    taken [k] memory steps, then behaves as [inner]. Terminal (fail-stop)
-    crashes only — the historic pair encoding; see {!with_crash_events}
-    for crash-recovery events. *)
-
-val with_crash_events : Crash.t list -> t -> t
-(** Generalisation of {!with_crashes} to {!Crash.t} events: an event
-    fires once its victim has taken [at] memory steps, as a terminal
-    crash or (for [recover = Some d], when the victim has a
-    {!Sim.set_recovery} entry point) a crash that re-admits the victim's
-    recovery code after [d] further global steps. Events fire in
-    ascending pid order, at most one per pid per turn; a pid's next
-    event is held back while it is crashed-awaiting-recovery, so
-    multi-crash specs land each crash on a live incarnation. *)
-
 val stop_when : (Sim.t -> bool) -> t -> t
 (** Stop as soon as the predicate holds; otherwise delegate. *)
-
-val capture : Sim.pid Scs_util.Vec.t -> t -> t
-(** Record every pid the inner policy schedules into the vector, in turn
-    order. The recorded sequence replayed with [scripted ~strict:true]
-    reproduces the run exactly (given the same initial sim and crash
-    wrappers outside the capture). *)
-
-val pick_runnable : Sim.t -> Sim.pid option
-(** Smallest runnable pid, if any (helper for custom policies). *)
-
-(** {1 Allocation-free (fast) protocol}
-
-    A fast policy returns the pid to schedule, or a negative int to
-    stop, and reads the runnable set through {!Sim.runnable_bits} — no
-    per-turn list or [decision] allocation. Every randomized fast
-    policy consumes its Rng stream in exactly the same order and
-    quantity as its boxed counterpart, so a fast run is bit-identical
-    (schedule, verdict, obs counters) to the equivalent boxed run —
-    the property test_pool.ml checks differentially. *)
-
-type fast = Sim.t -> int
-
-val of_fast : fast -> t
-val to_fast : t -> fast
-
-val fast_random : Scs_util.Rng.t -> fast
-val fast_weighted : Scs_util.Rng.t -> float array -> fast
-val fast_sticky : Scs_util.Rng.t -> switch_prob:float -> fast
-val fast_pct : Scs_util.Rng.t -> k:int -> depth:int -> fast
-val fast_solo : Sim.pid -> fast
-val fast_sequential : unit -> fast
-val fast_round_robin : unit -> fast
-val fast_scripted : ?strict:bool -> Sim.pid array -> fast
-
-(** {2 Crash plans and the flat drive loop} *)
-
-type crash_plan
-(** Preallocated crash-injection state (per-pid queues of {!Crash.t}
-    events), reusable across runs via {!arm_crashes} /
-    {!arm_crash_events} — the low-allocation counterpart of
-    {!with_crashes} / {!with_crash_events}. *)
-
-val crash_plan : n:int -> crash_plan
-
-val arm_crashes : crash_plan -> (Sim.pid * int) list -> unit
-(** Load a terminal-crash list ([(p, k)]: crash [p] once it has taken
-    [k] steps) into the plan, replacing whatever was armed before. *)
-
-val arm_crash_events : crash_plan -> Crash.t list -> unit
-(** Load {!Crash.t} events (terminal and recovering alike) into the
-    plan, replacing whatever was armed before. Firing semantics are
-    those of {!with_crash_events}. *)
-
-val drive : ?capture:Sim.pid Scs_util.Vec.t -> ?crashes:crash_plan -> Sim.t -> fast -> unit
-(** Flat scheduling loop: semantically identical to
-    [Sim.run sim (with_crash_events cs (capture buf (of_fast policy)))]
-    but with the wrapper closures and per-turn allocations compiled away
-    — crash events fire from the plan's per-pid queues in ascending pid
-    order, scheduled pids are pushed into [capture] before each step,
-    and stalled pending recoveries are admitted exactly as {!Sim.run}
-    does ({!Sim.admit_stalled_recovery}). Raises {!Sim.Livelock} exactly
-    as {!Sim.run} does. *)

@@ -552,31 +552,27 @@ let crash ?recover_after t pid =
       | _ -> ());
       if t.obs_on then Scs_obs.Obs.crash t.obs ~pid
 
-type decision = Sched of pid | Stop
-
-let run t policy =
-  let rec loop () =
-    if t.clock > t.max_steps then
-      raise (Livelock (Printf.sprintf "step budget %d exhausted at clock %d" t.max_steps t.clock));
-    if t.runnable_bits = 0 then ignore (admit_stalled_recovery t);
-    if not (all_done t) then begin
-      match policy t with
-      | Stop -> ()
-      | Sched pid ->
-          step t pid;
-          loop ()
-    end
+let run ?capture ?(crashes = []) t policy =
+  (* the crash hooks are built once per run, so the loop allocates
+     nothing per turn *)
+  let fire_crashes =
+    match crashes with
+    | [] -> ignore
+    | cs ->
+        let plan = Crash.plan ~n:t.n cs in
+        let due (c : Crash.t) = t.steps.(c.pid) >= c.at && not (is_crashed t c.pid) in
+        let fire (c : Crash.t) = crash ?recover_after:c.recover t c.pid in
+        fun () -> Crash.fire plan ~due fire
   in
-  loop ()
-
-let run_fast t policy =
   let rec loop () =
     if t.clock > t.max_steps then
       raise (Livelock (Printf.sprintf "step budget %d exhausted at clock %d" t.max_steps t.clock));
     if t.runnable_bits = 0 then ignore (admit_stalled_recovery t);
     if t.runnable_bits <> 0 then begin
+      fire_crashes ();
       let pid = policy t in
       if pid >= 0 then begin
+        (match capture with Some buf -> Vec.push buf pid | None -> ());
         step t pid;
         loop ()
       end

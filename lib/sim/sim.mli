@@ -192,7 +192,8 @@ val step : t -> pid -> unit
     turn of a fresh process only advances it to its first operation. *)
 
 val crash : ?recover_after:int -> t -> pid -> unit
-(** Crash [pid]: its current fiber is abandoned and every volatile
+(** Crash [pid] now ({!run}'s [?crashes] fires this at planned points):
+    its current fiber is abandoned and every volatile
     object is wiped to its creation value. Without [recover_after] (or
     when no recovery entry point is installed for [pid]) the crash is
     terminal — the process takes no further steps, the historic
@@ -226,20 +227,29 @@ val admit_stalled_recovery : t -> bool
     earliest-due one (ties towards the smallest pid) immediately,
     without advancing the clock — the delay cannot elapse once nothing
     can advance the clock, so waiting it out is meaningless. Returns
-    [true] iff a process was admitted. {!run} and {!run_fast} call this
-    themselves; external drivers with their own scheduling loops (e.g.
-    {!Policy.drive}) must call it wherever they test {!all_done}. *)
+    [true] iff a process was admitted. {!run} calls this itself;
+    external drivers with their own scheduling loops must call it
+    wherever they test {!all_done}. *)
 
-type decision = Sched of pid | Stop
+val run : ?capture:pid Scs_util.Vec.t -> ?crashes:Crash.t list -> t -> (t -> int) -> unit
+(** [run sim policy] drives the simulation until no process is runnable
+    (after admitting stalled recoveries), the policy answers a negative
+    int, or the step budget trips ({!Livelock}). At each turn the
+    policy returns the runnable pid to move next (see {!Policy}), or a
+    negative int to stop; it is not consulted once nothing is runnable.
 
-val run : t -> (t -> decision) -> unit
-(** Drive the simulation with a policy until every process is done, the
-    policy answers [Stop], or the step budget trips ({!Livelock}). *)
+    [crashes] (default none) are injected at the turn boundaries: before
+    each policy call, every due event fires ({!Crash.fire}, ascending pid
+    order, at most one per pid per turn). An event is due once its
+    victim has taken [at] memory steps and is not crashed; a recovering
+    event re-admits the victim's {!set_recovery} code after its delay,
+    and a victim's next event waits until it has been re-admitted. A
+    crash can leave nothing runnable; the policy is still consulted on
+    that turn.
 
-val run_fast : t -> (t -> int) -> unit
-(** Like {!run} but with the allocation-free policy protocol: the policy
-    returns a runnable pid, or a negative int to stop. Semantically
-    identical to {!run} with [Sched]/[Stop] boxing removed. *)
+    [capture], if given, receives every scheduled pid in turn order. The
+    captured schedule replayed with [Policy.scripted ~strict:true] under
+    the same [crashes] reproduces the run exactly. *)
 
 (** {1 Pooling}
 

@@ -88,7 +88,7 @@ let run ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?obs ~n ~algo ~polic
           :: !ops)
   done;
   let buf = Vec.create () in
-  Sim.run sim (Policy.capture buf (policy (Rng.split rng)));
+  Sim.run ~capture:buf sim (policy (Rng.split rng));
   let ops = List.rev !ops in
   let decisions =
     List.filter_map

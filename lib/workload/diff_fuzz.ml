@@ -1,20 +1,10 @@
 open Scs_util
 open Scs_sim
 
-type policy = Uniform | Sticky of float | Pct of int
+type policy = Fuzz.sched_kind = Uniform | Sticky of float | Weighted | Pct of int
 
-let policy_name = function
-  | Uniform -> "uniform"
-  | Sticky p -> Printf.sprintf "sticky(%.2f)" p
-  | Pct k -> Printf.sprintf "pct(%d)" k
-
+let policy_name kind = Fuzz.spec_name { Fuzz.kind; crash_faults = false; crash_recover = false }
 let default_policies = [ Uniform; Sticky 0.25; Pct 3 ]
-
-let mk_policy ~n pol rng =
-  match pol with
-  | Uniform -> Policy.random rng
-  | Sticky p -> Policy.sticky rng ~switch_prob:p
-  | Pct k -> Policy.pct rng ~k ~depth:(16 * n)
 
 type verdict = Pass | Viol of string | Skip of string
 
@@ -70,9 +60,8 @@ let exec ?max_steps w ~backend ~n ~pol ~run_seed =
   let inst = w.Fuzz_run.instantiate ~backend ~n () in
   inst.Fuzz_run.setup sim;
   let buf = Vec.create () in
-  let p = Policy.capture buf (mk_policy ~n pol (Rng.create run_seed)) in
   let verdict =
-    match Sim.run sim p with
+    match Sim.run ~capture:buf sim (Fuzz.base_policy pol (Rng.create run_seed) n) with
     | () -> (
         match inst.Fuzz_run.check sim with
         | () -> Pass

@@ -26,10 +26,10 @@
 
 open Scs_sim
 
-(** The deterministic policy sub-portfolio (no crash injection — crash
-    draws would have to be replicated per backend; schedules alone are
-    the adversary here). *)
-type policy = Uniform | Sticky of float | Pct of int
+(** The fuzzer's scheduler kinds, without crash injection (crash draws
+    would have to be replicated per backend; schedules alone are the
+    adversary here). *)
+type policy = Fuzz.sched_kind = Uniform | Sticky of float | Weighted | Pct of int
 
 val policy_name : policy -> string
 

@@ -15,9 +15,7 @@ type t = Workload_def.t = {
 
 let violation fmt = Printf.ksprintf (fun s -> raise (Fuzz.Violation s)) fmt
 
-(* Count a history past the legacy 62-op cap as checked-large (such runs
-   were skipped before the scalable checker). *)
-let note_large nops = if nops > Linearize.max_operations then Fuzz.checked_large ()
+let note_large nops = if nops > Fuzz.large_history then Fuzz.checked_large ()
 
 (* Each run gets its own workload instance ([Fuzz.run ~instantiate]), so a
    plain ref is the right channel between a run's [setup] and its [check]
@@ -640,12 +638,12 @@ let find_qualified s =
       | _ -> None)
 
 let fuzz ?backend ?policies ?runs ?time_budget ?max_violations ?seed ?max_steps ?check_domains
-    ?gen_domains ?pool ?obs w ~n =
+    ?gen_domains ?obs w ~n =
   let workload =
     qualified_name w (Option.value ~default:Scs_prims.Backend.default backend)
   in
   Fuzz.run ?policies ?runs ?time_budget ?max_violations ?seed ?max_steps
-    ?check_domains ?gen_domains ?pool ?obs ~workload ~n
+    ?check_domains ?gen_domains ?obs ~workload ~n
     ~instantiate:(fun () ->
       let { setup; check } = w.instantiate ?backend ~n () in
       (setup, check))

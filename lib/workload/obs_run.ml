@@ -45,26 +45,6 @@ type agg = {
   objects : (string * int * int) list;
 }
 
-(* Bare A1: each process performs one [apply] inside an obs bracket.
-   Mirrors exp_t1's abort census but measured by the sink instead of a
-   post-hoc trace scan. *)
-let run_a1 ?(crashes = []) ~backend ~obs ~n ~policy rng =
-  let sim = Sim.create ~obs ~n () in
-  let module P = (val Scs_prims.Backend.sim_prims backend sim) in
-  let module M = Scs_tas.A1.Make (P) in
-  let a1 = M.create ~name:"a1" () in
-  for pid = 0 to n - 1 do
-    Sim.spawn sim pid (fun () ->
-        Obs.op_begin obs ~pid ~obj:0 ~label:"a1";
-        let outcome = M.apply a1 ~pid None in
-        let aborted = match outcome with Outcome.Abort _ -> true | _ -> false in
-        if aborted then Obs.abort obs ~pid;
-        Obs.op_end obs ~pid ~aborted)
-  done;
-  let p = policy rng in
-  let p = if crashes = [] then p else Policy.with_crashes crashes p in
-  Sim.run sim p
-
 (* Sharded service: every pid pushes a short keyed script through the
    2-shard router; each client operation is bracketed under the label of
    the shard that owns its key at invoke time, so the batch aggregate
@@ -116,18 +96,11 @@ let install_shard ~backend ~obs ~n sim =
   done;
   rearm
 
-let run_shard ?(crashes = []) ~backend ~obs ~n ~policy rng =
-  let sim = Sim.create ~obs ~n () in
-  let (_ : unit -> unit) = install_shard ~backend ~obs ~n sim in
-  let p = policy rng in
-  let p = if crashes = [] then p else Policy.with_crashes crashes p in
-  Sim.run sim p
-
 let gen_crashes rng ~n ~crash_prob =
   List.filter_map
     (fun p ->
       if crash_prob > 0.0 && Rng.bernoulli rng crash_prob then
-        Some (p, 1 + Rng.int rng 15)
+        Some (Crash.terminal ~pid:p ~at:(1 + Rng.int rng 15))
       else None)
     (List.init n (fun p -> p))
 
@@ -157,29 +130,14 @@ let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
     objects = Obs.objects obs;
   }
 
-let one_run ?(crashes = []) ~backend ~obs ~target ~n ~policy rng =
-  match target with
-  | A1 -> run_a1 ~crashes ~backend ~obs ~n ~policy rng
-  | Shard -> run_shard ~crashes ~backend ~obs ~n ~policy rng
-  | Tas algo ->
-      let seed = Rng.int rng 0x3FFFFFFF in
-      ignore
-        (Tas_run.one_shot ~seed ~backend ~trace_mem:false ~crashes ~obs ~n ~algo
-           ~policy ())
-  | Cons algo ->
-      let seed = Rng.int rng 0x3FFFFFFF in
-      ignore (Cons_run.run ~seed ~backend ~obs ~n ~algo ~policy ())
-
-(* ---- pooled measurement engine ------------------------------------- *)
-
 (* Install the target's shared objects and fibers once on [sim] (whose
-   sink is [obs]), replicating the obs-bracket semantics of the legacy
-   per-run drivers ([run_a1] / [Tas_run.one_shot] / [Cons_run.run]) but
-   without their tracing scaffolding: the batch aggregate only reads
-   the sink. All algorithm state lives in simulator objects, so
-   [Sim.reset] rewinds a finished (or livelocked) run back to this
-   installed state. Returns the per-run rearm hook, fed the run's
-   derived rng for targets whose operations consume randomness. *)
+   sink is [obs]), with the obs brackets of the [Tas_run.one_shot] /
+   [Cons_run.run] drivers but without their tracing scaffolding: the
+   batch aggregate only reads the sink. All algorithm state lives in
+   simulator objects, so [Sim.reset] rewinds a finished (or livelocked)
+   run back to this installed state. Returns the per-run rearm hook,
+   fed the run's derived rng for targets whose operations consume
+   randomness. *)
 let install ~backend ~obs ~target ~n sim =
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
   match target with
@@ -274,68 +232,47 @@ let install ~backend ~obs ~target ~n sim =
       done;
       fun _ -> ()
 
-(* One domain's share of a pooled batch: a single simulator installed
-   once, rewound with [Sim.reset] per run, driven by the allocation-free
-   loop. The per-run rng chain reproduces the legacy engine's exactly
-   (crash draws, the per-run derived seed, Tournament's per-pid splits,
-   then the policy stream), so the recorded metrics match run for run. *)
+(* One run's rng chain after its crash draws: Tas and Cons targets
+   derive a run seed (Tournament's per-pid rngs are split from it), then
+   the policy stream. Returns the policy's rng. *)
+let arm_run ~target ~rearm rng =
+  match target with
+  | A1 -> rng
+  | Shard ->
+      rearm rng;
+      rng
+  | Tas _ | Cons _ ->
+      let rng2 = Rng.create (Rng.int rng 0x3FFFFFFF) in
+      rearm rng2;
+      Rng.split rng2
+
+(* One domain's share of a batch: a single simulator installed once and
+   rewound with [Sim.reset] per run. *)
 let run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
   let sim = Sim.create ~obs ~n () in
   let rearm = install ~backend ~obs ~target ~n sim in
   Sim.snapshot sim;
-  let plan = Policy.crash_plan ~n in
   for i = 1 to runs do
     let rng = Rng.split prng in
     let crashes = gen_crashes rng ~n ~crash_prob in
-    let pol_rng =
-      match target with
-      | A1 -> rng
-      | Shard ->
-          rearm rng;
-          rng
-      | Tas _ | Cons _ ->
-          let seed = Rng.int rng 0x3FFFFFFF in
-          let rng2 = Rng.create seed in
-          rearm rng2;
-          Rng.split rng2
-    in
+    let pol_rng = arm_run ~target ~rearm rng in
     if i > 1 then Sim.reset sim;
-    (* the legacy consensus driver takes no crash wrapper *)
-    Policy.arm_crashes plan (match target with Cons _ -> [] | _ -> crashes);
-    let fast =
-      if policy == Policy.random then Policy.fast_random pol_rng
-      else Policy.to_fast (policy pol_rng)
-    in
-    (try Policy.drive ~crashes:plan sim fast with Sim.Livelock _ -> ())
+    (* consensus targets draw crashes but never inject them *)
+    let crashes = match target with Cons _ -> [] | _ -> crashes in
+    try Sim.run ~crashes sim (policy pol_rng) with Sim.Livelock _ -> ()
   done;
   runs
 
 let measure ?(runs = 200) ?(seed = 42) ?(backend = Scs_prims.Backend.default)
-    ?(policy = Policy.random) ?(crash_prob = 0.0) ?(gen_domains = 1) ?(pooled = true) target
-    ~n =
+    ?(policy = Policy.random) ?(crash_prob = 0.0) ?(gen_domains = 1) target ~n =
   let gen_domains = max 1 gen_domains in
   (* The batch sink's event ring is never replayed (the aggregate reads
-     counters, census and op metrics only), so the pooled engine skips
-     ring recording entirely; the legacy engine keeps it, as it did
-     before pooling existed, for honest before/after numbers. *)
-  let obs = Obs.create ~record_ring:(not pooled) ~n () in
+     counters, census and op metrics only), so the batch skips ring
+     recording entirely. *)
+  let obs = Obs.create ~record_ring:false ~n () in
   let t0 = Unix.gettimeofday () in
   let completed =
-    if not pooled then begin
-      (* legacy reference engine: fresh simulator and driver per run,
-         kept for before/after measurements (experiment T14) *)
-      let prng = Rng.create seed in
-      let completed = ref 0 in
-      for _ = 1 to runs do
-        let rng = Rng.split prng in
-        let crashes = gen_crashes rng ~n ~crash_prob in
-        (try one_run ~crashes ~backend ~obs ~target ~n ~policy rng
-         with Sim.Livelock _ -> ());
-        incr completed
-      done;
-      !completed
-    end
-    else if gen_domains = 1 then
+    if gen_domains = 1 then
       run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng:(Rng.create seed) ~runs
     else begin
       let base = runs / gen_domains and extra = runs mod gen_domains in
@@ -389,7 +326,10 @@ let measure ?(runs = 200) ?(seed = 42) ?(backend = Scs_prims.Backend.default)
 let solo ?(backend = Scs_prims.Backend.default) target ~n =
   let obs = Obs.create ~n () in
   let t0 = Unix.gettimeofday () in
-  one_run ~backend ~obs ~target ~n ~policy:(fun _ -> Policy.solo 0) (Rng.create 1);
+  let sim = Sim.create ~obs ~n () in
+  let rearm = install ~backend ~obs ~target ~n sim in
+  ignore (arm_run ~target ~rearm (Rng.create 1));
+  Sim.run sim (Policy.solo 0);
   let wall = Unix.gettimeofday () -. t0 in
   let agg = aggregate ~workload:(target_name target) ~backend ~n ~runs:1 ~wall obs in
   (* keep only p0's first operation: the uncontended-cost sample *)

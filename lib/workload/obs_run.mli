@@ -3,8 +3,8 @@
     T13.
 
     A {e target} is a workload whose every high-level operation is
-    bracketed on a {!Scs_obs.Obs} sink ({!Tas_run} / {!Cons_run} with
-    [~obs], or the bare-A1 driver defined here), so a batch of seeded
+    bracketed on a {!Scs_obs.Obs} sink (as {!Tas_run} / {!Cons_run} do
+    with [~obs]), so a batch of seeded
     runs yields per-operation step counts and contention measurements
     matching the paper's definitions — plus a schedules/sec throughput
     figure for the bench trajectory. See [docs/metrics.md] for how
@@ -50,7 +50,6 @@ val measure :
   ?policy:(Scs_util.Rng.t -> Policy.t) ->
   ?crash_prob:float ->
   ?gen_domains:int ->
-  ?pooled:bool ->
   target ->
   n:int ->
   agg
@@ -63,19 +62,14 @@ val measure :
     under per-object-SC registers; [crash_prob] (default 0) independently
     crashes each pid with that probability after 1–15 steps, as the
     fuzzer's crash portfolio does. Raises [Invalid_argument] if the
-    batch completes zero operations.
-
-    [pooled] (default [true]) runs the batch on one simulator per
-    domain, installed once and rewound with [Sim.reset] between runs,
-    under the allocation-free scheduling loop — the per-run rng chain
-    matches the legacy fresh-simulator engine ([~pooled:false], kept
-    for before/after comparisons) draw for draw, so the recorded
-    metrics are identical and only throughput changes.
+    batch completes zero operations. The batch runs on one simulator
+    per domain, installed once and rewound with [Sim.reset] between
+    runs.
 
     [gen_domains] (default 1) splits the batch across that many OCaml
     domains, each with its own pooled simulator and private sink,
     merged deterministically at join (domain-index order). Domain 0
-    generates the legacy stream; higher domains use derived streams, so
+    generates the single-domain stream; higher domains use derived streams, so
     per-op metrics aggregate a different (but seed-stable) sample of
     schedules. A custom [policy] closure must be domain-safe. *)
 

@@ -34,7 +34,7 @@ let kv_check ~what slot _sim =
     | exception Invalid_argument msg -> violation "%s: malformed trace: %s" what msg
   in
   let nops = List.length ops in
-  if nops > Linearize.max_operations then Fuzz.checked_large ();
+  if nops > Fuzz.large_history then Fuzz.checked_large ();
   let key (o : _ Trace.operation) =
     match Kv.key_of_req (Request.payload o.Trace.op_req) with
     | Some k -> k

@@ -107,15 +107,12 @@ let finish sim recorder ~schedule =
     round_of_req = recorder.round_of_req;
   }
 
-(* Capture sits inside the crash wrapper, matching the replay composition
-   of [Fuzz.replay]: the recorded schedule holds exactly the executed
-   turns, and crash points key on [Sim.steps_of], which evolves
-   identically on replay of the same turn prefix. *)
+(* The captured schedule holds exactly the executed turns, and crash
+   points key on [Sim.steps_of], which evolves identically on replay of
+   the same turn prefix — so [Fuzz.replay] reproduces the run. *)
 let run_policy ?(crashes = []) sim policy rng =
   let buf = Vec.create () in
-  let p = Policy.capture buf (policy rng) in
-  let p = if crashes = [] then p else Policy.with_crashes crashes p in
-  Sim.run sim p;
+  Sim.run ~capture:buf ~crashes:(Crash.of_pairs crashes) sim (policy rng);
   Vec.to_array buf
 
 let one_shot ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem = true)

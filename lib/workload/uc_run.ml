@@ -105,9 +105,7 @@ let run ?(seed = 42) ?max_requests ?(crashes = []) ~n ~ops_per_proc ~stages ~pol
         done;
         final_stages.(pid) <- !stage)
   done;
-  let p = policy (Rng.split rng) in
-  let p = if crashes = [] then p else Policy.with_crashes crashes p in
-  Sim.run sim p;
+  Sim.run ~crashes:(Crash.of_pairs crashes) sim (policy (Rng.split rng));
   {
     responses = List.rev !responses;
     outer = Trace.events outer;

@@ -1,10 +1,10 @@
 (* The seed word-sized-bitmask Wing & Gong checker, kept verbatim as a
-   differential oracle: test/test_linearize_diff.ml asserts the scalable
-   checker (Linearize) agrees with it on random well-formed traces, and
-   experiment T12 benchmarks the two against each other. Not for
-   production use — hard-capped at 62 operations. *)
+   differential oracle: test_linearize_diff.ml asserts the scalable
+   checker (Linearize) agrees with it on random well-formed traces. Not
+   for production use — hard-capped at 62 operations. *)
 
 open Scs_spec
+open Scs_history
 
 type ('i, 'r) comp = { c_req : 'i Request.t; c_resp : 'r; c_inv : int; c_res : int }
 type 'i pend = { p_req : 'i Request.t; p_inv : int }

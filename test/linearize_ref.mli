@@ -3,13 +3,13 @@
 
     This is the pre-rewrite Wing & Gong search over a word-sized [int]
     bitmask with a linear-scan state memo, verbatim. It exists only so
-    that the rewritten {!Linearize} can be cross-validated against it
-    (test/test_linearize_diff.ml, 10k+ random traces) and benchmarked
-    old-vs-new (EXPERIMENTS.md T12). Do not use it in new code: it is
+    that the scalable {!Scs_history.Linearize} can be cross-validated
+    against it (test_linearize_diff.ml, 10k+ random traces). It is
     hard-capped at {!max_operations} = 62 operations and slower on
     everything nontrivial. *)
 
 open Scs_spec
+open Scs_history
 
 val max_operations : int
 (** 62 — the linearized set is a word-sized bitmask. *)

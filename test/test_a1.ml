@@ -225,12 +225,10 @@ let test_a1_after_abort_all_abort () =
         if !phase = 0 && Sim.finished s 0 && Sim.finished s 1 then phase := 1;
         if !phase = 0 then begin
           match List.filter (fun p -> p < 2) (Sim.runnable s) with
-          | [] -> Sim.Stop
-          | ps -> Sim.Sched (Scs_util.Rng.pick_list rng ps)
+          | [] -> -1
+          | ps -> Scs_util.Rng.pick_list rng ps
         end
-        else begin
-          match Sim.runnable s with [] -> Sim.Stop | p :: _ -> Sim.Sched p
-        end);
+        else Policy.sequential () s);
     let aborted pid =
       match results.(pid) with Some (Outcome.Abort _) -> true | _ -> false
     in

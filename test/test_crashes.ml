@@ -41,8 +41,7 @@ let consensus_crash ~algo ~runs () =
       Sim.spawn sim pid (fun () ->
           outcomes.(pid) <- Some (inst.Scs_consensus.Consensus_intf.run ~pid ~old:None (100 + pid)))
     done;
-    Sim.run sim
-      (Policy.with_crashes crashes (Policy.random (Scs_util.Rng.create seed)));
+    Sim.run ~crashes:(Crash.of_pairs crashes) sim (Policy.random (Scs_util.Rng.create seed));
     let decisions =
       Array.to_list outcomes
       |> List.filter_map (function Some (Outcome.Commit (Some d)) -> Some d | _ -> None)
@@ -86,8 +85,8 @@ let test_chain_survivor_progress () =
           done_.(pid) <- true)
     done;
     (* crash p0 early; the others must finish *)
-    Sim.run sim
-      (Policy.with_crashes [ (0, 2) ] (Policy.random (Scs_util.Rng.create seed)));
+    Sim.run ~crashes:[ Crash.terminal ~pid:0 ~at:2 ] sim
+      (Policy.random (Scs_util.Rng.create seed));
     Alcotest.(check bool) "survivors decided" true (done_.(1) && done_.(2))
   done
 
@@ -122,10 +121,10 @@ let test_snapshot_crashes () =
             scans := S.scan s ~pid :: !scans
           done)
     done;
-    Sim.run sim
-      (Policy.with_crashes
-         [ (seed mod n, 1 + (seed mod 7)) ]
-         (Policy.random (Scs_util.Rng.create seed)));
+    Sim.run
+      ~crashes:[ Crash.terminal ~pid:(seed mod n) ~at:(1 + (seed mod 7)) ]
+      sim
+      (Policy.random (Scs_util.Rng.create seed));
     let le a b = Array.for_all2 (fun x y -> x <= y) a b in
     if
       not

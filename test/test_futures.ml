@@ -42,9 +42,7 @@ let run_queue ?(transfer = Spec_object.History) ?(ops_per_proc = 3) ?(crashes = 
         stages.(pid) <- SO.stage_of h;
         match SO.switch_len h with Some l -> switch_lens := l :: !switch_lens | None -> ())
   done;
-  let p = policy (Scs_util.Rng.create seed) in
-  let p = if crashes = [] then p else Policy.with_crashes crashes p in
-  Sim.run sim p;
+  Sim.run ~crashes:(Crash.of_pairs crashes) sim (policy (Scs_util.Rng.create seed));
   (Trace.events tr, stages, !switch_lens, sim)
 
 let test_queue_sequential () =

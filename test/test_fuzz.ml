@@ -134,8 +134,8 @@ let test_long_lived_fuzz_no_capacity_skips () =
 
 let test_long_lived_direct_sequential () =
   (* one deterministic sequential run, inspected directly: enough rounds
-     to give 100+ resets, a history far past the legacy cap, decided by
-     the scalable checker but rejected by Legacy-mode capacity *)
+     to give 100+ resets, a history far past the seed checker's 62-op
+     cap, decided by the scalable checker *)
   let open Scs_spec in
   let open Scs_history in
   let n = 3 in
@@ -180,11 +180,7 @@ let test_long_lived_direct_sequential () =
   Alcotest.(check bool) (Printf.sprintf "history is large (%d ops)" nops) true (nops >= 300);
   Alcotest.(check bool) (Printf.sprintf "long-lived: %d resets" resets) true (resets >= 100);
   Alcotest.(check bool) "scalable checker accepts" true
-    (Linearize.check_operations Objects.resettable_tas ops);
-  try
-    ignore (Linearize.check_operations ~mode:Linearize.Legacy Objects.resettable_tas ops);
-    Alcotest.fail "legacy mode should reject on capacity"
-  with Linearize.Capacity_exceeded k -> Alcotest.(check int) "capacity count" nops k
+    (Linearize.check_operations Objects.resettable_tas ops)
 
 let test_check_domains_equivalent () =
   (* parallel verification must not change verdicts or accounting *)
@@ -239,7 +235,7 @@ let test_shrink_rejects_non_reproducing_input () =
   let sim = Sim.create ~n:3 () in
   setup sim;
   let buf = Scs_util.Vec.create () in
-  Sim.run sim (Policy.capture buf (Policy.sequential ()));
+  Sim.run ~capture:buf sim (Policy.sequential ());
   check sim;
   (* sequential runs are linearizable: check passes *)
   match

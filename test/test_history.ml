@@ -330,7 +330,7 @@ let test_trace_malformed () =
     Alcotest.fail "expected Invalid_argument on double invoke"
   with Invalid_argument _ -> ()
 
-(* --- the 62-operation capacity boundary (Legacy mode only) ----------- *)
+(* --- large histories and the search budget --------------------------- *)
 
 (* a sequential TAS history of [k] operations: first wins, rest lose *)
 let sequential_tas_ops k =
@@ -338,24 +338,6 @@ let sequential_tas_ops k =
       comp ~pid:0 ~id:(i + 1) ~inv:(2 * i)
         ~res:((2 * i) + 1)
         (if i = 0 then Objects.Winner else Objects.Loser))
-
-let test_lin_cap_boundary_accepts_62 () =
-  Alcotest.(check int) "cap is 62" 62 Linearize.max_operations;
-  let ops = sequential_tas_ops Linearize.max_operations in
-  Alcotest.(check bool) "62 operations, legacy mode" true
-    (Linearize.check_operations ~mode:Linearize.Legacy Objects.tas ops);
-  Alcotest.(check bool) "62 operations, scalable mode" true
-    (Linearize.check_operations Objects.tas ops)
-
-let test_lin_cap_boundary_63 () =
-  let ops = sequential_tas_ops (Linearize.max_operations + 1) in
-  Alcotest.check_raises "legacy mode raises at 63" (Linearize.Capacity_exceeded 63)
-    (fun () ->
-      ignore (Linearize.check_operations ~mode:Linearize.Legacy Objects.tas ops));
-  Alcotest.check_raises "seed oracle raises at 63" (Linearize_ref.Capacity_exceeded 63)
-    (fun () -> ignore (Linearize_ref.check_operations Objects.tas ops));
-  Alcotest.(check bool) "scalable mode passes 63" true
-    (Linearize.check_operations Objects.tas ops)
 
 let test_lin_scalable_large_histories () =
   (* far past the word-sized bitmask: 200- and 1000-op histories are
@@ -372,18 +354,6 @@ let test_lin_scalable_large_histories () =
   in
   Alcotest.(check bool) "201-op second winner refuted" false
     (Linearize.check_operations Objects.tas bad)
-
-let test_lin_cap_counts_pending () =
-  (* pending operations occupy mask bits too (in Legacy accounting) *)
-  let ops =
-    sequential_tas_ops (Linearize.max_operations - 1)
-    @ [ pend ~pid:1 ~id:1000 ~inv:0; pend ~pid:2 ~id:1001 ~inv:0 ]
-  in
-  Alcotest.check_raises "61 committed + 2 pending overflow legacy"
-    (Linearize.Capacity_exceeded 63) (fun () ->
-      ignore (Linearize.check_operations ~mode:Linearize.Legacy Objects.tas ops));
-  Alcotest.(check bool) "scalable mode unaffected" true
-    (Linearize.check_operations Objects.tas ops)
 
 let test_lin_search_budget () =
   let ops = sequential_tas_ops 100 in
@@ -646,14 +616,8 @@ let tests =
     Alcotest.test_case "lin: queue" `Quick test_lin_queue;
     Alcotest.test_case "lin: register" `Quick test_lin_register;
     QCheck_alcotest.to_alcotest ~rand:(Test_seed.rand ()) prop_tas_checker_agrees;
-    Alcotest.test_case "lin: 62-op boundary, both modes" `Quick
-      test_lin_cap_boundary_accepts_62;
-    Alcotest.test_case "lin: 63 ops — legacy raises, scalable passes" `Quick
-      test_lin_cap_boundary_63;
     Alcotest.test_case "lin: 200/1000-op histories decided" `Quick
       test_lin_scalable_large_histories;
-    Alcotest.test_case "lin: pending ops count against the legacy cap" `Quick
-      test_lin_cap_counts_pending;
     Alcotest.test_case "lin: search budget" `Quick test_lin_search_budget;
     Alcotest.test_case "battery: register swap (product + partitioned)" `Quick
       test_register_swap_battery;

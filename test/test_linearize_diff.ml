@@ -1,15 +1,15 @@
 (* Differential testing of the scalable linearizability checker
    (Linearize) against the seed word-sized-bitmask implementation, kept
-   verbatim as Linearize_ref exactly for this purpose.
+   verbatim in this directory as Linearize_ref exactly for this purpose.
 
    A choice-list interpreter builds random well-formed histories of up to
    ~40 operations (within the oracle's 62-op cap) with mixed
    committed / aborted / pending outcomes. Responses are drawn from a
    response-order linearization witness and then randomly corrupted, so
    the generator covers both linearizable and non-linearizable histories
-   for every spec. The property is three-way verdict agreement:
+   for every spec. The property is verdict agreement:
 
-     Linearize_ref  =  Linearize (Scalable)  =  Linearize (Legacy)
+     Linearize_ref  =  Linearize
 
    across TAS, register, fetch-and-increment and queue specs, plus the
    compositional front-end: on a two-register product object,
@@ -112,10 +112,7 @@ let interp (spec : _ Spec.t) ~payload ~corrupt choices =
     choices;
   List.rev !out @ List.rev_map (fun (id, pl, inv) -> mkpend ~id ~inv pl) !opened
 
-let agree spec ops =
-  let r = Linearize_ref.check_operations spec ops in
-  r = Linearize.check_operations spec ops
-  && r = Linearize.check_operations ~mode:Linearize.Legacy spec ops
+let agree spec ops = Linearize_ref.check_operations spec ops = Linearize.check_operations spec ops
 
 let gen_choices = QCheck.(list_of_size Gen.(int_range 0 40) small_int)
 
@@ -264,14 +261,11 @@ let interp_wf (spec : _ Spec.t) ~n_pids ~payload ~corrupt choices =
       !opened
 
 (* Linearizability implies sequential consistency (dropping the real-time
-   constraint only enlarges the set of admissible orders); and the SC
-   checker's two engine modes must agree with each other. *)
+   constraint only enlarges the set of admissible orders). *)
 let prop_sc name spec ~payload ~corrupt =
   QCheck.Test.make ~count:1500 ~name gen_choices (fun choices ->
       let ops = interp_wf spec ~n_pids:5 ~payload ~corrupt choices in
-      let sc = Linearize.check_sc_operations spec ops in
-      (sc = Linearize.check_sc_operations ~mode:Linearize.Legacy spec ops)
-      && ((not (Linearize.check_operations spec ops)) || sc))
+      (not (Linearize.check_operations spec ops)) || Linearize.check_sc_operations spec ops)
 
 let prop_sc_register =
   prop_sc "sc: linearizable => SC (register)" Objects.register

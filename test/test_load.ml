@@ -114,7 +114,8 @@ let test_engine_smoke_chain () =
   check_result (Load.run { (smoke_cfg Load.Chain) with Load.duration_s = 0.4 })
 
 (* sharded family: 2 shards with a live migration every 40 updates of
-   domain 0; per-shard op counters must account for every batched op *)
+   domain 0. Every completed op was served by exactly one shard's
+   combiner, and every other drained cell was refused and retried. *)
 let test_engine_smoke_sharded () =
   let r =
     Load.run
@@ -128,11 +129,14 @@ let test_engine_smoke_sharded () =
   in
   check_result r;
   let extra k = match List.assoc_opt k r.Load.r_extra with Some v -> v | None -> -1 in
-  if extra "batched_ops" < 0 then Alcotest.fail "batched_ops counter missing";
+  List.iter
+    (fun k -> if extra k < 0 then Alcotest.failf "%s counter missing" k)
+    [ "batched_ops"; "refused_cells"; "done_ops"; "shard0_ops"; "shard1_ops" ];
   let shard_total = extra "shard0_ops" + extra "shard1_ops" in
-  if shard_total < 0 then Alcotest.fail "per-shard counters missing";
-  Alcotest.(check int) "per-shard counters account for the batched ops" (extra "batched_ops")
-    shard_total
+  Alcotest.(check int) "per-shard counters account for the completed ops" (extra "done_ops")
+    shard_total;
+  Alcotest.(check int) "batched = served + refused" (extra "batched_ops")
+    (shard_total + extra "refused_cells")
 
 let test_to_record () =
   let r = Load.run (smoke_cfg Load.Hardware) in

@@ -1,5 +1,6 @@
-(* Unit coverage for the schedule policies (lib/sim/policy.ml) and the
-   contention-class detectors (lib/sim/detect.ml). *)
+(* Unit coverage for the schedule policies (lib/sim/policy.ml), the
+   scheduling loop's edges (Sim.run) and the contention-class detectors
+   (lib/sim/detect.ml). *)
 
 open Scs_sim
 open Scs_util
@@ -18,9 +19,9 @@ let make_sim work =
   done;
   sim
 
-let run_captured sim policy =
+let run_captured ?crashes sim policy =
   let buf = Vec.create () in
-  Sim.run sim (Policy.capture buf policy);
+  Sim.run ~capture:buf ?crashes sim policy;
   Vec.to_array buf
 
 (* ---- weighted --------------------------------------------------------- *)
@@ -46,10 +47,9 @@ let test_weighted_stops_when_only_zero_weight_runnable () =
 
 let test_weighted_never_schedules_crashed () =
   let sim = make_sim [| 8; 8; 8 |] in
-  let buf = Vec.create () in
-  Sim.run sim
-    (Policy.with_crashes [ (0, 2) ]
-       (Policy.capture buf (Policy.weighted (Rng.create 11) [| 10.0; 1.0; 1.0 |])));
+  ignore
+    (run_captured ~crashes:[ Crash.terminal ~pid:0 ~at:2 ] sim
+       (Policy.weighted (Rng.create 11) [| 10.0; 1.0; 1.0 |]));
   (* heavily-weighted p0 crashes after 2 steps and must never be picked
      again, despite its weight *)
   Alcotest.(check int) "p0 stopped at its crash point" 2 (Sim.steps_of sim 0);
@@ -85,13 +85,12 @@ let test_sticky_zero_never_switches () =
   Array.iteri (fun i p -> if i > 0 && p <> sched.(i - 1) then incr blocks) sched;
   Alcotest.(check int) "two contiguous blocks" 2 !blocks
 
-(* ---- with_crashes ----------------------------------------------------- *)
+(* ---- crash injection --------------------------------------------------- *)
 
-let test_with_crashes_fires_at_configured_step () =
+let test_crashes_fire_at_configured_step () =
   let sim = make_sim [| 10; 10; 10 |] in
-  Sim.run sim
-    (Policy.with_crashes [ (0, 3); (1, 5) ] (Policy.random (Rng.create 9)));
-  (* a crash fires at the first policy call after the pid reaches k
+  Sim.run ~crashes:(Crash.of_pairs [ (0, 3); (1, 5) ]) sim (Policy.random (Rng.create 9));
+  (* a crash fires at the first turn boundary after the pid reaches k
      steps, so the pid takes exactly k memory steps *)
   Alcotest.(check int) "p0 crashed after 3 steps" 3 (Sim.steps_of sim 0);
   Alcotest.(check int) "p1 crashed after 5 steps" 5 (Sim.steps_of sim 1);
@@ -99,9 +98,9 @@ let test_with_crashes_fires_at_configured_step () =
   Alcotest.(check bool) "p0 not runnable" false (Sim.is_runnable sim 0);
   Alcotest.(check bool) "p1 not runnable" false (Sim.is_runnable sim 1)
 
-let test_with_crashes_after_completion_is_noop () =
+let test_crash_after_completion_is_noop () =
   let sim = make_sim [| 4; 4 |] in
-  Sim.run sim (Policy.with_crashes [ (0, 100) ] (Policy.random (Rng.create 2)));
+  Sim.run ~crashes:[ Crash.terminal ~pid:0 ~at:100 ] sim (Policy.random (Rng.create 2));
   Alcotest.(check bool) "all done" true (Sim.all_done sim);
   Alcotest.(check int) "p0 completed its work" 4 (Sim.steps_of sim 0)
 
@@ -175,6 +174,87 @@ let test_explore_drift_is_policy_drift () =
   Alcotest.(check bool) "aliased" true
     (match Explore.Replay_drift 3 with Policy.Replay_drift 3 -> true | _ -> false)
 
+(* ---- seed-stream pins ------------------------------------------------- *)
+
+(* The first 64 picks of each randomized policy, recorded when boxed and
+   allocation-free policies still coexisted (they agreed on every row).
+   A change here silently renames every fuzz seed and recorded run, so
+   it must be deliberate. Weights are 1, 2, 4, ...; pct uses the fuzz
+   portfolio's depth 16n. *)
+let pins =
+  [
+    ("random", 3, 1, "0201220121221202120010222120122101200122211011222222001112121220");
+    ("sticky", 3, 1, "0000000000000001111002222222222222222000022200011112222222222222");
+    ("weighted", 3, 1, "2222222212122221222200201022022212122222221222112210121021222022");
+    ("pct", 3, 1, "0000000000000000000000000000000111111111111122222222222222222222");
+    ("random", 3, 7, "2001000221110101110122102002011222112011210200100011212120012212");
+    ("sticky", 3, 7, "2000001111111111111112222222201111000000001122222222222222222220");
+    ("weighted", 3, 7, "1022212101022222212220112201212011220211221001222221012121221121");
+    ("pct", 3, 7, "2222222222222222222000000000000000000000000011111111111111111111");
+    ("random", 3, 1234, "2012100222010122221111210002212221020112111221010120212201222222");
+    ("sticky", 3, 1234, "2222222211111111111111112222211111111111122202222222222111111111");
+    ("weighted", 3, 1234, "2211222112012222221211002222101022221222201212221120222100020111");
+    ("pct", 3, 1234, "2222222222200000000000000000000000001111111111111111111111111111");
+    ("random", 5, 1, "2131213013320424241014114413123442120311010040432132412402142430");
+    ("sticky", 5, 1, "2222222222222222222444112222222222222000022244401113333333333333");
+    ("weighted", 5, 1, "4443344434343432444411423144144433344444443444324432343142444144");
+    ("pct", 5, 1, "0000000000000000033333333333333333333333333333333333333333444444");
+    ("random", 5, 7, "3440004301343232024304413310310034333221034021431331331323113231");
+    ("sticky", 5, 7, "3444441444444444444440000333321111222222223322222222222222233330");
+    ("weighted", 5, 7, "3044333323244444434442334413434133441422443113444443134243443343");
+    ("pct", 5, 7, "2222222222244444444444444444444444444444444444444444444444444444");
+    ("random", 5, 1234, "2110111343343103010143242433200331331211012243324133311343010213");
+    ("sticky", 5, 1234, "2200004444444441114444440333322222222221133340022222222111100000");
+    ("weighted", 5, 1234, "4423444334234444442433023444312244442444403434443342444201140333");
+    ("pct", 5, 1234, "1100000000000000000000444444444444444444444444444444444444444444");
+  ]
+
+let test_seed_stream_pins () =
+  List.iter
+    (fun (name, n, seed, expected) ->
+      let rng = Rng.create seed in
+      let policy =
+        match name with
+        | "random" -> Policy.random rng
+        | "sticky" -> Policy.sticky rng ~switch_prob:0.25
+        | "weighted" -> Policy.weighted rng (Array.init n (fun p -> float_of_int (1 lsl p)))
+        | _ -> Policy.pct rng ~k:3 ~depth:(16 * n)
+      in
+      let buf = Vec.create () in
+      let first64 = Policy.stop_when (fun _ -> Vec.length buf >= 64) policy in
+      Sim.run ~capture:buf (make_sim (Array.make n 100)) first64;
+      let got = String.concat "" (List.map string_of_int (Vec.to_list buf)) in
+      Alcotest.(check string) (Printf.sprintf "%s n=%d seed=%d" name n seed) expected got)
+    pins
+
+(* ---- loop edges ------------------------------------------------------- *)
+
+(* Nothing runnable, but not every process done: an unspawned process
+   never becomes runnable, so the loop stops without consulting the
+   policy — script entries naming it are left unread, no drift. *)
+let test_loop_stops_when_nothing_runnable () =
+  let sim = Sim.create ~n:2 () in
+  Sim.spawn sim 0 (fun () -> ignore (Sim.read (Sim.reg sim ~name:"r" 0)));
+  let sched = run_captured sim (Policy.scripted ~strict:true [| 0; 0; 1; 1 |]) in
+  Alcotest.(check (array int)) "p0's two turns, then stop" [| 0; 0 |] sched;
+  Alcotest.(check bool) "p1 never spawned" false (Sim.finished sim 1)
+
+(* A crash that empties the runnable set fires at a turn boundary, and
+   the policy is still consulted on that turn: a strict script with
+   entries left drifts, an exhausted one stops (and the recovery stays
+   pending — test_recovery.ml's solo-crash case). *)
+let test_crash_emptying_runnable_consults_policy () =
+  let run script =
+    let sim = make_sim [| 5 |] in
+    Sim.run ~crashes:[ Crash.terminal ~pid:0 ~at:1 ] sim (Policy.scripted ~strict:true script);
+    sim
+  in
+  let sim = run [| 0; 0 |] in
+  Alcotest.(check int) "crashed after one step" 1 (Sim.steps_of sim 0);
+  Alcotest.(check bool) "crashed" true (Sim.is_crashed sim 0);
+  Alcotest.check_raises "entries left: drift" (Policy.Replay_drift 0) (fun () ->
+      ignore (run [| 0; 0; 0 |]))
+
 (* ---- detectors -------------------------------------------------------- *)
 
 let ev ~ts ~pid = { Mem_event.ts; pid; kind = Op.Read; obj = 0; obj_name = "r"; info = "" }
@@ -216,10 +296,10 @@ let tests =
       test_sticky_switch_rate;
     Alcotest.test_case "sticky: switch_prob 0 never preempts" `Quick
       test_sticky_zero_never_switches;
-    Alcotest.test_case "with_crashes: fires once at the configured step" `Quick
-      test_with_crashes_fires_at_configured_step;
-    Alcotest.test_case "with_crashes: post-completion crash is a no-op" `Quick
-      test_with_crashes_after_completion_is_noop;
+    Alcotest.test_case "crashes: fire once at the configured step" `Quick
+      test_crashes_fire_at_configured_step;
+    Alcotest.test_case "crashes: post-completion crash is a no-op" `Quick
+      test_crash_after_completion_is_noop;
     Alcotest.test_case "pct: deterministic and strictly replayable" `Quick
       test_pct_deterministic_and_replayable;
     Alcotest.test_case "pct: k=1 runs pure priority blocks" `Quick
@@ -234,6 +314,11 @@ let tests =
       test_scripted_then_strict_raises;
     Alcotest.test_case "Explore.Replay_drift aliases Policy.Replay_drift" `Quick
       test_explore_drift_is_policy_drift;
+    Alcotest.test_case "seed streams: first 64 picks pinned" `Quick test_seed_stream_pins;
+    Alcotest.test_case "loop: stops when nothing is runnable" `Quick
+      test_loop_stops_when_nothing_runnable;
+    Alcotest.test_case "loop: crash emptying the runnable set" `Quick
+      test_crash_emptying_runnable_consults_policy;
     Alcotest.test_case "detect: step contention on hand-built trace" `Quick
       test_step_contention_detector;
     Alcotest.test_case "detect: interval contention on hand-built trace" `Quick

@@ -1,20 +1,65 @@
-(* Differential tests for the pooled simulation engine (PR 5).
+(* Differential tests for the pooled simulation engine.
 
-   The fuzz engine has two execution paths: the pooled fast path
-   ([~pool:true], default — one simulator per gen domain rewound with
-   [Sim.clear], allocation-free [Policy.drive] loop) and the fresh
-   reference path ([~pool:false] — a new [Sim.create] and boxed policy
-   per run, the pre-pool engine kept verbatim). The contract is that
-   they are bit-identical: same schedules, same verdicts, same obs
-   counters, for every portfolio policy including the crash-injecting
-   ones. These tests enforce that contract, plus [Sim.snapshot]/
-   [Sim.reset] rewind correctness and recovery after [Livelock] and
-   [Process_failure]. *)
+   [Fuzz.run] executes every run on a pooled simulator: one per gen
+   domain, rewound with [Sim.clear] and re-[setup] between runs.
+   [fresh_fuzz] below is the fresh-simulator engine it replaced, kept
+   here only as the oracle: a new [Sim.create] per run under the same
+   seed streams, policies and crash events. The contract is that the two
+   are bit-identical: same schedules, same verdicts, same obs counters,
+   for every portfolio policy including the crash-injecting ones. These
+   tests enforce that contract, plus [Sim.snapshot]/[Sim.reset] rewind
+   correctness and recovery after [Livelock] and [Process_failure]. *)
 
 open Scs_sim
 open Scs_workload
 
 let seeds = [ 1; 7; 1234 ]
+
+type fresh_run = {
+  f_seed : int;
+  f_schedule : int array;
+  f_crashes : Crash.t list;
+  f_steps : int;
+  f_verdict : [ `Ok | `Viol of string | `Skip ];
+}
+
+(* One fresh simulator per run, [Fuzz.run]'s seed derivation (one gen
+   domain) and inline checks. Returns each policy's runs in order. *)
+let fresh_fuzz ?(policies = Fuzz.default_portfolio) ?obs ~runs ~seed (w : Fuzz_run.t) ~n =
+  List.mapi
+    (fun idx (spec : Fuzz.policy_spec) ->
+      let prng = Scs_util.Rng.create (seed + (0x9E3779B9 * (idx + 1))) in
+      let one () =
+        let run_seed = Scs_util.Rng.int prng 0x3FFFFFFF in
+        let rng = Scs_util.Rng.create run_seed in
+        let inst = w.Fuzz_run.instantiate ~n () in
+        let sim = Sim.create ?obs ~n () in
+        inst.Fuzz_run.setup sim;
+        let crashes =
+          if spec.Fuzz.crash_faults then
+            Fuzz.gen_crash_events ~recover:spec.crash_recover rng n 15
+          else []
+        in
+        let buf = Scs_util.Vec.create () in
+        let f_verdict =
+          match
+            Sim.run ~capture:buf ~crashes sim (Fuzz.base_policy spec.kind rng n);
+            inst.Fuzz_run.check sim
+          with
+          | () -> `Ok
+          | exception Fuzz.Violation msg -> `Viol msg
+          | exception (Fuzz.Skip _ | Sim.Livelock _) -> `Skip
+        in
+        {
+          f_seed = run_seed;
+          f_schedule = Scs_util.Vec.to_array buf;
+          f_crashes = crashes;
+          f_steps = Sim.total_steps sim;
+          f_verdict;
+        }
+      in
+      (Fuzz.spec_name spec, List.init runs (fun _ -> one ())))
+    policies
 
 let check_viol_eq label (a : Fuzz.violation) (b : Fuzz.violation) =
   Alcotest.(check string) (label ^ " policy") a.Fuzz.v_policy b.Fuzz.v_policy;
@@ -43,20 +88,65 @@ let check_report_eq label (a : Fuzz.report) (b : Fuzz.report) =
     (List.length b.r_violations);
   List.iter2 (check_viol_eq label) a.r_violations b.r_violations
 
+(* The pooled report against the fresh runs: per-policy run, turn,
+   violation and skip counts, step percentiles, and every violation
+   (schedule + crashes + error, bit for bit). *)
+let check_against_fresh label (r : Fuzz.report) fresh =
+  List.iter2
+    (fun (s : Fuzz.policy_stats) (name, runs) ->
+      let l = label ^ " " ^ name in
+      let count p = List.length (List.filter p runs) in
+      let steps = Array.of_list (List.map (fun f -> float_of_int f.f_steps) runs) in
+      Alcotest.(check string) (l ^ " policy") name s.Fuzz.s_policy;
+      Alcotest.(check int) (l ^ " runs") (List.length runs) s.s_runs;
+      Alcotest.(check int) (l ^ " turns")
+        (List.fold_left (fun acc f -> acc + Array.length f.f_schedule) 0 runs)
+        s.s_turns;
+      Alcotest.(check int) (l ^ " violations")
+        (count (fun f -> match f.f_verdict with `Viol _ -> true | _ -> false))
+        s.s_violations;
+      Alcotest.(check int) (l ^ " skipped") (count (fun f -> f.f_verdict = `Skip)) s.s_skipped;
+      Alcotest.(check (float 1e-9)) (l ^ " p50") (Scs_util.Stats.percentile steps 50.0)
+        s.s_step_p50;
+      Alcotest.(check (float 1e-9)) (l ^ " p99") (Scs_util.Stats.percentile steps 99.0)
+        s.s_step_p99)
+    r.Fuzz.r_stats fresh;
+  let fresh_viols =
+    List.concat_map
+      (fun (name, runs) ->
+        List.filter_map
+          (fun f ->
+            match f.f_verdict with
+            | `Viol msg ->
+                Some
+                  {
+                    Fuzz.v_workload = r.Fuzz.r_workload;
+                    v_n = r.r_n;
+                    v_policy = name;
+                    v_seed = f.f_seed;
+                    v_schedule = f.f_schedule;
+                    v_crashes = f.f_crashes;
+                    v_error = msg;
+                  }
+            | `Ok | `Skip -> None)
+          runs)
+      fresh
+  in
+  Alcotest.(check int) (label ^ " #violations") (List.length fresh_viols)
+    (List.length r.r_violations);
+  List.iter2 (check_viol_eq label) r.r_violations fresh_viols
+
 (* Pooled vs fresh: full portfolio over a green workload and a
-   known-failing finder, at several seeds. Verdict counts, turn counts,
-   step percentiles and every recorded violation (schedule + crashes +
-   error, bit for bit) must agree. *)
+   known-failing finder, at several seeds. *)
 let test_pooled_vs_fresh_reports () =
   List.iter
     (fun (w, n, runs) ->
       List.iter
         (fun seed ->
-          let pooled = Fuzz_run.fuzz ~runs ~seed ~pool:true w ~n in
-          let fresh = Fuzz_run.fuzz ~runs ~seed ~pool:false w ~n in
-          check_report_eq
+          check_against_fresh
             (Printf.sprintf "%s seed=%d" w.Fuzz_run.name seed)
-            pooled fresh)
+            (Fuzz_run.fuzz ~runs ~seed w ~n)
+            (fresh_fuzz ~runs ~seed w ~n))
         seeds)
     [ (Fuzz_run.tas_composed, 3, 40); (Fuzz_run.f1, 3, 40); (Fuzz_run.splitter, 3, 30) ]
 
@@ -67,19 +157,22 @@ let test_pooled_vs_fresh_reports () =
    (including uniform+crash, whose crash lists must also match). *)
 let test_pooled_vs_fresh_every_schedule () =
   let n = 3 in
-  let instantiate () =
-    let inst = Fuzz_run.tas_composed.Fuzz_run.instantiate ~n () in
-    (inst.Fuzz_run.setup, fun _ -> raise (Fuzz.Violation "capture"))
+  let w =
+    {
+      Fuzz_run.tas_composed with
+      Fuzz_run.name = "capture";
+      instantiate =
+        (fun ?backend ~n () ->
+          let inst = Fuzz_run.tas_composed.Fuzz_run.instantiate ?backend ~n () in
+          { inst with Fuzz_run.check = (fun _ -> raise (Fuzz.Violation "capture")) });
+    }
   in
   List.iter
     (fun seed ->
-      let go pool =
-        Fuzz.run ~runs:25 ~seed ~pool ~workload:"capture" ~n ~instantiate ()
-      in
-      let pooled = go true and fresh = go false in
-      let np = List.length pooled.Fuzz.r_violations in
-      Alcotest.(check int) "all runs surfaced" (5 * 25) np;
-      check_report_eq (Printf.sprintf "capture seed=%d" seed) pooled fresh)
+      let pooled = Fuzz_run.fuzz ~runs:25 ~seed w ~n in
+      Alcotest.(check int) "all runs surfaced" (5 * 25) (List.length pooled.Fuzz.r_violations);
+      check_against_fresh (Printf.sprintf "capture seed=%d" seed) pooled
+        (fresh_fuzz ~runs:25 ~seed w ~n))
     seeds
 
 (* Obs counters: attach a sink to both engines and require identical
@@ -89,14 +182,9 @@ let test_pooled_vs_fresh_obs () =
   let n = 3 in
   List.iter
     (fun seed ->
-      let go pool =
-        let obs = Scs_obs.Obs.create ~n () in
-        let (_ : Fuzz.report) =
-          Fuzz_run.fuzz ~runs:40 ~seed ~pool ~obs Fuzz_run.tas_composed ~n
-        in
-        obs
-      in
-      let a = go true and b = go false in
+      let a = Scs_obs.Obs.create ~n () and b = Scs_obs.Obs.create ~n () in
+      let (_ : Fuzz.report) = Fuzz_run.fuzz ~runs:40 ~seed ~obs:a Fuzz_run.tas_composed ~n in
+      ignore (fresh_fuzz ~runs:40 ~seed ~obs:b Fuzz_run.tas_composed ~n);
       let module O = Scs_obs.Obs in
       Alcotest.(check int) "clock" (O.clock a) (O.clock b);
       Alcotest.(check int) "total steps" (O.total_steps a) (O.total_steps b);
@@ -119,20 +207,16 @@ let test_pooled_vs_fresh_obs () =
     seeds
 
 (* Pool accounting: one pooled simulator per policy batch — exactly one
-   fresh create per policy, every later acquire a reuse. The fresh path
-   reports all-zero pool stats. *)
+   fresh create per policy, every later acquire a reuse. *)
 let test_pool_stats () =
   let runs = 20 in
-  let r = Fuzz_run.fuzz ~runs ~seed:7 ~pool:true Fuzz_run.tas_composed ~n:3 in
+  let r = Fuzz_run.fuzz ~runs ~seed:7 Fuzz_run.tas_composed ~n:3 in
   let p = r.Fuzz.r_pool in
   let policies = List.length r.Fuzz.r_stats in
   Alcotest.(check int) "one create per policy" policies p.Pool.created;
   Alcotest.(check int) "rest reused" ((policies * runs) - policies) p.Pool.reused;
   if p.Pool.peak_objects <= 0 then Alcotest.failf "peak_objects not recorded";
-  if p.Pool.peak_turns <= 0 then Alcotest.failf "peak_turns not recorded";
-  let f = Fuzz_run.fuzz ~runs ~seed:7 ~pool:false Fuzz_run.tas_composed ~n:3 in
-  Alcotest.(check int) "fresh path: no creates counted" 0 f.Fuzz.r_pool.Pool.created;
-  Alcotest.(check int) "fresh path: no reuse counted" 0 f.Fuzz.r_pool.Pool.reused
+  if p.Pool.peak_turns <= 0 then Alcotest.failf "peak_turns not recorded"
 
 (* A little workload touching every object class, with a mid-run
    allocation so reset has something to truncate. *)
@@ -166,7 +250,7 @@ let setup_kitchen_sink sim =
 let test_snapshot_reset_differential () =
   let run_once sim rng_seed =
     let rng = Scs_util.Rng.create rng_seed in
-    Sim.run_fast sim (Policy.fast_random rng);
+    Sim.run sim (Policy.random rng);
     (Sim.trace sim, Sim.clock sim, Sim.total_steps sim, Sim.total_rmws sim,
      Sim.objects_allocated sim)
   in
@@ -214,7 +298,7 @@ let test_reset_after_livelock () =
   let sim = Sim.create ~max_steps:10 ~n:2 () in
   spin sim;
   Sim.snapshot sim;
-  (match Sim.run_fast sim (Policy.fast_round_robin ()) with
+  (match Sim.run sim (Policy.round_robin ()) with
   | () -> Alcotest.failf "expected Livelock"
   | exception Sim.Livelock _ -> ());
   Sim.reset sim;
@@ -224,7 +308,7 @@ let test_reset_after_livelock () =
   let script = [| 0; 0; 0; 1; 1 |] in
   let go sim =
     Sim.set_trace sim true;
-    Sim.run_fast sim (Policy.fast_scripted ~strict:true script);
+    Sim.run sim (Policy.scripted ~strict:true script);
     Sim.trace sim
   in
   let reset_trace = go sim in
@@ -251,7 +335,7 @@ let test_reset_after_process_failure () =
       if Sim.read r = 0 then Sim.write r 1);
   Sim.snapshot sim;
   let observe () =
-    match Sim.run_fast sim (Policy.fast_scripted ~strict:true [| 1; 1; 1; 0; 0 |]) with
+    match Sim.run sim (Policy.scripted ~strict:true [| 1; 1; 1; 0; 0 |]) with
     | () -> Alcotest.failf "expected Process_failure"
     | exception Sim.Process_failure (pid, e) ->
         (pid, Printexc.to_string e, Sim.clock sim, Sim.trace sim)

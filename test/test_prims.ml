@@ -18,6 +18,7 @@
 
 module Intf = Scs_prims.Prims_intf
 module Sim = Scs_sim.Sim
+module Policy = Scs_sim.Policy
 module Backend = Scs_prims.Backend
 
 (* compile-time conformance pins *)
@@ -87,8 +88,7 @@ let run_backend backend =
   let module P = (val Backend.sim_prims backend sim) in
   let result = ref [] in
   Sim.spawn sim 0 (fun () -> result := script (module P));
-  Sim.run sim (fun s ->
-      match Sim.runnable s with [] -> Sim.Stop | p :: _ -> Sim.Sched p);
+  Sim.run sim (Policy.sequential ());
   !result
 
 let run_sim () = run_backend Backend.Sim_lin
@@ -125,8 +125,7 @@ let test_backend_discriminator () =
     let seen = ref (-1) in
     Sim.spawn sim 0 (fun () -> P.write x 1);
     Sim.spawn sim 1 (fun () -> seen := P.read x);
-    Sim.run sim (fun s ->
-        match Sim.runnable s with [] -> Sim.Stop | p :: _ -> Sim.Sched p);
+    Sim.run sim (Policy.sequential ());
     !seen
   in
   Alcotest.(check int) "sim-lin reads fresh" 1 (read_after_remote_write Backend.Sim_lin);
@@ -165,8 +164,7 @@ let test_pause_costs_a_sim_step () =
   Sim.spawn sim 0 (fun () ->
       P.pause ();
       P.pause ());
-  Sim.run sim (fun s ->
-      match Sim.runnable s with [] -> Sim.Stop | p :: _ -> Sim.Sched p);
+  Sim.run sim (Policy.sequential ());
   Alcotest.(check bool) "pause consumed steps" true (Sim.total_steps sim >= 2)
 
 let tests =

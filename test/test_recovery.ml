@@ -50,8 +50,7 @@ let test_durable_volatile_litmus () =
       Sim.write v 1;
       Sim.write d 2 (* never reached: crash fires at 2 steps *));
   Sim.spawn sim 1 (fun () -> seen := (Sim.read d, Sim.read v));
-  Sim.run sim
-    (Policy.with_crash_events [ Crash.terminal ~pid:0 ~at:2 ] (Policy.sequential ()));
+  Sim.run ~crashes:[ Crash.terminal ~pid:0 ~at:2 ] sim (Policy.sequential ());
   Alcotest.(check bool) "p0 crashed" true (Sim.is_crashed sim 0);
   Alcotest.(check (pair int int)) "durable kept, volatile wiped" (1, 0) !seen;
   Alcotest.(check int) "one volatile object" 1 (Sim.volatile_objects_allocated sim)
@@ -72,8 +71,7 @@ let test_global_wipe () =
       seen := Sim.read v);
   (* round robin: p1 writes v between p0's steps; p0's crash at 2 steps
      wipes it before p1 reads it back *)
-  Sim.run sim
-    (Policy.with_crash_events [ Crash.terminal ~pid:0 ~at:2 ] (Policy.round_robin ()));
+  Sim.run ~crashes:[ Crash.terminal ~pid:0 ~at:2 ] sim (Policy.round_robin ());
   Alcotest.(check int) "p1's volatile write gone" 0 !seen
 
 (* --- recovery re-admission ------------------------------------------- *)
@@ -101,10 +99,8 @@ let test_recovery_delay () =
       if Sim.is_crashed sim 0 && !crash_clock < 0 then crash_clock := Sim.clock sim;
       false)
   in
-  Sim.run sim
-    (Policy.with_crash_events
-       [ Crash.recovering ~pid:0 ~at:2 ~after:delay ]
-       (saw_crash (Policy.round_robin ())));
+  Sim.run ~crashes:[ Crash.recovering ~pid:0 ~at:2 ~after:delay ] sim
+    (saw_crash (Policy.round_robin ()));
   Alcotest.(check bool) "recovery ran" true (!recovery_clock >= 0);
   Alcotest.(check bool) "crash observed" true (!crash_clock >= 0);
   Alcotest.(check bool)
@@ -135,10 +131,8 @@ let test_stalled_recovery_admitted () =
       for _ = 1 to 3 do
         ignore (Sim.read r)
       done);
-  Sim.run sim
-    (Policy.with_crash_events
-       [ Crash.recovering ~pid:0 ~at:2 ~after:1_000_000 ]
-       (Policy.round_robin ()));
+  Sim.run ~crashes:[ Crash.recovering ~pid:0 ~at:2 ~after:1_000_000 ] sim
+    (Policy.round_robin ());
   Alcotest.(check bool) "recovery admitted at stall" true !recovered;
   Alcotest.(check int) "one recovery" 1 (Sim.recoveries_of sim 0);
   Alcotest.(check int) "nothing pending" 0 (Sim.pending_recoveries sim)
@@ -155,10 +149,7 @@ let test_solo_crash_ends_run () =
       for k = 1 to 5 do
         Sim.write r k
       done);
-  Sim.run sim
-    (Policy.with_crash_events
-       [ Crash.recovering ~pid:0 ~at:2 ~after:3 ]
-       (Policy.round_robin ()));
+  Sim.run ~crashes:[ Crash.recovering ~pid:0 ~at:2 ~after:3 ] sim (Policy.round_robin ());
   Alcotest.(check bool) "recovery never ran" false !recovered;
   Alcotest.(check int) "recovery still pending" 1 (Sim.pending_recoveries sim)
 
@@ -180,10 +171,9 @@ let test_double_crash_idempotent_recovery () =
       for _ = 1 to 40 do
         ignore (Sim.read r)
       done);
-  Sim.run sim
-    (Policy.with_crash_events
-       [ Crash.recovering ~pid:0 ~at:2 ~after:0; Crash.recovering ~pid:0 ~at:3 ~after:0 ]
-       (Policy.round_robin ()));
+  Sim.run
+    ~crashes:[ Crash.recovering ~pid:0 ~at:2 ~after:0; Crash.recovering ~pid:0 ~at:3 ~after:0 ]
+    sim (Policy.round_robin ());
   Alcotest.(check int) "two recoveries" 2 (Sim.recoveries_of sim 0);
   Alcotest.(check int) "recovery completed exactly once" 1 !completed
 
@@ -197,10 +187,7 @@ let test_recover_without_entry_point () =
         Sim.write r k
       done);
   Sim.spawn sim 1 (fun () -> ignore (Sim.read r));
-  Sim.run sim
-    (Policy.with_crash_events
-       [ Crash.recovering ~pid:0 ~at:2 ~after:3 ]
-       (Policy.round_robin ()));
+  Sim.run ~crashes:[ Crash.recovering ~pid:0 ~at:2 ~after:3 ] sim (Policy.round_robin ());
   Alcotest.(check bool) "has no recovery" false (Sim.has_recovery sim 0);
   Alcotest.(check bool) "terminally crashed" true (Sim.is_crashed sim 0);
   Alcotest.(check int) "nothing pending" 0 (Sim.pending_recoveries sim);
@@ -234,10 +221,7 @@ let test_reset_keeps_entry_points () =
   Sim.spawn sim 1 body1;
   Sim.snapshot sim;
   let run () =
-    Sim.run sim
-      (Policy.with_crash_events
-         [ Crash.recovering ~pid:0 ~at:2 ~after:2 ]
-         (Policy.round_robin ()))
+    Sim.run ~crashes:[ Crash.recovering ~pid:0 ~at:2 ~after:2 ] sim (Policy.round_robin ())
   in
   run ();
   Alcotest.(check int) "first run recovered" 1 (Sim.recoveries_of sim 0);
@@ -393,22 +377,13 @@ let fuzz_clean w ~n ~runs () =
   in
   Alcotest.(check bool) "ran the full budget" true (total_runs >= runs)
 
-(* Pooled and fresh-simulator fuzzing agree run for run — recovery state
-   is fully reset between pooled runs. *)
+(* Pooled fuzzing agrees run for run with the fresh-simulator oracle
+   (test_pool.ml) — recovery state is fully reset between pooled runs. *)
 let test_pool_fresh_differential () =
-  let run ~pool =
-    Fuzz_run.fuzz ~policies:Fuzz.recover_portfolio ~runs:80 ~seed:7 ~pool
-      Fuzz_run.recoverable_split ~n:3
-  in
-  let a = run ~pool:true and b = run ~pool:false in
-  List.iter2
-    (fun (sa : Fuzz.policy_stats) (sb : Fuzz.policy_stats) ->
-      Alcotest.(check string) "same policy" sa.Fuzz.s_policy sb.Fuzz.s_policy;
-      Alcotest.(check int) ("turns agree: " ^ sa.Fuzz.s_policy) sa.Fuzz.s_turns
-        sb.Fuzz.s_turns;
-      Alcotest.(check int) ("violations agree: " ^ sa.Fuzz.s_policy) sa.Fuzz.s_violations
-        sb.Fuzz.s_violations)
-    a.Fuzz.r_stats b.Fuzz.r_stats
+  let policies = Fuzz.recover_portfolio and w = Fuzz_run.recoverable_split in
+  Test_pool.check_against_fresh "recoverable-split"
+    (Fuzz_run.fuzz ~policies ~runs:80 ~seed:7 w ~n:3)
+    (Test_pool.fresh_fuzz ~policies ~runs:80 ~seed:7 w ~n:3)
 
 (* Capture a run with a recovering crash, then replay the recorded
    schedule + crash events strictly: same outcome, no drift. *)
@@ -420,9 +395,7 @@ let test_capture_replay_with_recovery () =
   inst.Fuzz_run.setup sim;
   let buf = Scs_util.Vec.create () in
   let crashes = [ Crash.recovering ~pid:0 ~at:2 ~after:1 ] in
-  Sim.run sim
-    (Policy.with_crash_events crashes
-       (Policy.capture buf (Policy.random (Scs_util.Rng.create 5))));
+  Sim.run ~capture:buf ~crashes sim (Policy.random (Scs_util.Rng.create 5));
   inst.Fuzz_run.check sim;
   Alcotest.(check int) "the crash recovered" 1 (Sim.recoveries_of sim 0);
   let schedule = Scs_util.Vec.to_array buf in

@@ -17,6 +17,7 @@
 open Scs_spec
 open Scs_history
 module Sim = Scs_sim.Sim
+module Policy = Scs_sim.Policy
 
 (* ---- history constructors --------------------------------------------- *)
 
@@ -202,8 +203,7 @@ let run_sc ~lag ~n fibers =
   let module P = (val Scs_prims.Sc_prims.make ~lag sim) in
   let fibers = fibers (module P : Scs_prims.Prims_intf.S) in
   List.iteri (fun pid f -> Sim.spawn sim pid f) fibers;
-  Sim.run sim (fun s ->
-      match Sim.runnable s with [] -> Sim.Stop | p :: _ -> Sim.Sched p);
+  Sim.run sim (Policy.sequential ());
   ()
 
 let test_backend_stale_read_at_lag1 () =
@@ -302,7 +302,7 @@ let test_backend_reset_clears_staleness () =
   Sim.spawn sim 0 (fun () -> P.write x 7);
   Sim.spawn sim 1 (fun () -> observed := P.read x);
   Sim.snapshot sim;
-  let seq s = match Sim.runnable s with [] -> Sim.Stop | p :: _ -> Sim.Sched p in
+  let seq = Policy.sequential () in
   Sim.run sim seq;
   Alcotest.(check int) "first run stale" 0 !observed;
   Sim.reset sim;

@@ -114,8 +114,7 @@ let test_crash () =
   Sim.spawn sim 1 (fun () ->
       Sim.write r 100;
       p1_done := true);
-  let policy = Policy.with_crashes [ (0, 3) ] (Policy.round_robin ()) in
-  Sim.run sim policy;
+  Sim.run ~crashes:[ Crash.terminal ~pid:0 ~at:3 ] sim (Policy.round_robin ());
   Alcotest.(check bool) "p1 completed" true !p1_done;
   Alcotest.(check bool) "p0 crashed" true (Sim.finished sim 0);
   Alcotest.(check bool) "p0 stopped at 3" true (Sim.steps_of sim 0 <= 4)

@@ -110,9 +110,9 @@ let test_snapshot_wait_free () =
   Sim.run sim (fun sm ->
       incr count;
       let want = if !count mod 4 = 0 then 1 else 0 in
-      if Sim.is_runnable sm want then Sim.Sched want
-      else if Sim.is_runnable sm (1 - want) then Sim.Sched (1 - want)
-      else Sim.Stop);
+      if Sim.is_runnable sm want then want
+      else if Sim.is_runnable sm (1 - want) then 1 - want
+      else -1);
   Alcotest.(check bool) "scan completed" true !scan_done
 
 (* ---- universal construction: single instance -------------------------- *)
