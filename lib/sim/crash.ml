@@ -19,8 +19,8 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-(* Sort into the canonical firing order used by the crash-arming
-   policies: ascending pid, then ascending trigger step. *)
+(* Sort into the order in which Sim.run fires events (Crash.fire):
+   ascending pid, then ascending trigger step. *)
 let canonical cs = List.sort_uniq compare cs
 
 let to_string c =

@@ -187,6 +187,7 @@ let now = Unix.gettimeofday
 let large_history = 62
 let large_counter = Atomic.make 0
 let checked_large () = Atomic.incr large_counter
+let checked_large_total () = Atomic.get large_counter
 
 (* A finished execution awaiting verification. [pd_done] runs after the
    verdict is recorded — it releases the run's pooled simulator, which
@@ -271,7 +272,7 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
       (fun idx spec ->
         let name = spec_name spec in
         let t0 = now () in
-        let large0 = Atomic.get large_counter in
+        let large0 = checked_large_total () in
         (* shared across this policy's gen domains: early stop on the
            violation budget *)
         let viol_count = Atomic.make 0 in
@@ -464,7 +465,7 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
           s_turns = sum (fun p -> p.p_turns);
           s_violations = sum (fun p -> List.length p.p_viol);
           s_skipped = sum (fun p -> p.p_skipped);
-          s_checked_large = Atomic.get large_counter - large0;
+          s_checked_large = checked_large_total () - large0;
           s_check_wall = sumf (fun p -> p.p_check_wall);
           s_gen_wall =
             Array.fold_left (fun acc p -> Float.max acc (p.p_wall -. p.p_flush_wall)) 0.0 parts;

@@ -34,6 +34,9 @@ val checked_large : unit -> unit
     {!policy_stats.s_checked_large}; safe to call from verification
     worker domains. *)
 
+val checked_large_total : unit -> int
+(** Process-wide number of {!checked_large} calls so far. *)
+
 (** {1 Scheduler portfolio} *)
 
 type sched_kind =

@@ -73,6 +73,37 @@ val measure :
     per-op metrics aggregate a different (but seed-stable) sample of
     schedules. A custom [policy] closure must be domain-safe. *)
 
+(** {1 Building blocks of one run}
+
+    One run of {!measure}'s batch, exposed so a fresh-simulator loop can
+    be checked against the batch's [Sim.reset] reuse: draw
+    [crashes = gen_crashes rng], then [pol_rng = arm_run ~target ~rearm
+    rng], then [Sim.run ~crashes sim (policy pol_rng)], with [crashes]
+    emptied for [Cons] targets. *)
+
+val install :
+  backend:Scs_prims.Backend.t ->
+  obs:Scs_obs.Obs.t ->
+  target:target ->
+  n:int ->
+  Sim.t ->
+  Scs_util.Rng.t ->
+  unit
+(** [install ~backend ~obs ~target ~n sim] allocates the target's shared
+    objects on [sim] (whose sink must be [obs]) and spawns one
+    bracketed operation script per pid. Returns the rearm hook, which
+    must be applied (through {!arm_run}) before each run: it rebuilds
+    per-pid state that {!Sim.reset} does not rewind. *)
+
+val arm_run :
+  target:target -> rearm:(Scs_util.Rng.t -> unit) -> Scs_util.Rng.t -> Scs_util.Rng.t
+(** Consume the run's rng after its crash draws, apply [rearm], and
+    return the policy's rng. *)
+
+val gen_crashes : Scs_util.Rng.t -> n:int -> crash_prob:float -> Crash.t list
+(** Each pid independently with probability [crash_prob], a terminal
+    crash after 1..15 of its steps. *)
+
 val solo : ?backend:Scs_prims.Backend.t -> target -> n:int -> agg
 (** One run in which process 0 executes alone ({!Policy.solo}): the
     uncontended cost the appendix complexity claims are stated for.

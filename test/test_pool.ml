@@ -7,8 +7,10 @@
    seed streams, policies and crash events. The contract is that the two
    are bit-identical: same schedules, same verdicts, same obs counters,
    for every portfolio policy including the crash-injecting ones. These
-   tests enforce that contract, plus [Sim.snapshot]/[Sim.reset] rewind
-   correctness and recovery after [Livelock] and [Process_failure]. *)
+   tests enforce that contract, the same one for [Obs_run.measure]'s
+   install-once batches ([fresh_obs_run]), plus [Sim.snapshot]/
+   [Sim.reset] rewind correctness and recovery after [Livelock] and
+   [Process_failure]. *)
 
 open Scs_sim
 open Scs_workload
@@ -20,15 +22,37 @@ type fresh_run = {
   f_schedule : int array;
   f_crashes : Crash.t list;
   f_steps : int;
+  f_contention : int;
   f_verdict : [ `Ok | `Viol of string | `Skip ];
 }
 
+(* Schedule-level step contention of one run, as [Fuzz] defines it: per
+   process, the turns other processes take between its first and last
+   turns; the max over processes. *)
+let schedule_contention ~n sched =
+  let first = Array.make n (-1) and last = Array.make n (-1) and count = Array.make n 0 in
+  Array.iteri
+    (fun i p ->
+      if p >= 0 && p < n then begin
+        if first.(p) < 0 then first.(p) <- i;
+        last.(p) <- i;
+        count.(p) <- count.(p) + 1
+      end)
+    sched;
+  let m = ref 0 in
+  for p = 0 to n - 1 do
+    if count.(p) > 0 then m := max !m (last.(p) - first.(p) + 1 - count.(p))
+  done;
+  !m
+
 (* One fresh simulator per run, [Fuzz.run]'s seed derivation (one gen
-   domain) and inline checks. Returns each policy's runs in order. *)
+   domain) and inline checks. Returns each policy's runs in order, with
+   the number of large histories its checks reported. *)
 let fresh_fuzz ?(policies = Fuzz.default_portfolio) ?obs ~runs ~seed (w : Fuzz_run.t) ~n =
   List.mapi
     (fun idx (spec : Fuzz.policy_spec) ->
       let prng = Scs_util.Rng.create (seed + (0x9E3779B9 * (idx + 1))) in
+      let large0 = Fuzz.checked_large_total () in
       let one () =
         let run_seed = Scs_util.Rng.int prng 0x3FFFFFFF in
         let rng = Scs_util.Rng.create run_seed in
@@ -50,15 +74,18 @@ let fresh_fuzz ?(policies = Fuzz.default_portfolio) ?obs ~runs ~seed (w : Fuzz_r
           | exception Fuzz.Violation msg -> `Viol msg
           | exception (Fuzz.Skip _ | Sim.Livelock _) -> `Skip
         in
+        let f_schedule = Scs_util.Vec.to_array buf in
         {
           f_seed = run_seed;
-          f_schedule = Scs_util.Vec.to_array buf;
+          f_schedule;
           f_crashes = crashes;
           f_steps = Sim.total_steps sim;
+          f_contention = schedule_contention ~n f_schedule;
           f_verdict;
         }
       in
-      (Fuzz.spec_name spec, List.init runs (fun _ -> one ())))
+      let fruns = List.init runs (fun _ -> one ()) in
+      (Fuzz.spec_name spec, fruns, Fuzz.checked_large_total () - large0))
     policies
 
 let check_viol_eq label (a : Fuzz.violation) (b : Fuzz.violation) =
@@ -89,11 +116,12 @@ let check_report_eq label (a : Fuzz.report) (b : Fuzz.report) =
   List.iter2 (check_viol_eq label) a.r_violations b.r_violations
 
 (* The pooled report against the fresh runs: per-policy run, turn,
-   violation and skip counts, step percentiles, and every violation
-   (schedule + crashes + error, bit for bit). *)
+   violation, skip and large-history counts, step percentiles, max
+   schedule contention, and every violation (schedule + crashes + error,
+   bit for bit). *)
 let check_against_fresh label (r : Fuzz.report) fresh =
   List.iter2
-    (fun (s : Fuzz.policy_stats) (name, runs) ->
+    (fun (s : Fuzz.policy_stats) (name, runs, large) ->
       let l = label ^ " " ^ name in
       let count p = List.length (List.filter p runs) in
       let steps = Array.of_list (List.map (fun f -> float_of_int f.f_steps) runs) in
@@ -106,6 +134,10 @@ let check_against_fresh label (r : Fuzz.report) fresh =
         (count (fun f -> match f.f_verdict with `Viol _ -> true | _ -> false))
         s.s_violations;
       Alcotest.(check int) (l ^ " skipped") (count (fun f -> f.f_verdict = `Skip)) s.s_skipped;
+      Alcotest.(check int) (l ^ " checked_large") large s.s_checked_large;
+      Alcotest.(check int) (l ^ " maxC")
+        (List.fold_left (fun acc f -> max acc f.f_contention) 0 runs)
+        s.s_max_contention;
       Alcotest.(check (float 1e-9)) (l ^ " p50") (Scs_util.Stats.percentile steps 50.0)
         s.s_step_p50;
       Alcotest.(check (float 1e-9)) (l ^ " p99") (Scs_util.Stats.percentile steps 99.0)
@@ -113,7 +145,7 @@ let check_against_fresh label (r : Fuzz.report) fresh =
     r.Fuzz.r_stats fresh;
   let fresh_viols =
     List.concat_map
-      (fun (name, runs) ->
+      (fun (name, runs, _) ->
         List.filter_map
           (fun f ->
             match f.f_verdict with
@@ -136,8 +168,9 @@ let check_against_fresh label (r : Fuzz.report) fresh =
     (List.length r.r_violations);
   List.iter2 (check_viol_eq label) r.r_violations fresh_viols
 
-(* Pooled vs fresh: full portfolio over a green workload and a
-   known-failing finder, at several seeds. *)
+(* Pooled vs fresh: full portfolio over a green workload, two
+   known-failing finders and a workload whose histories pass the
+   large-history threshold, at several seeds. *)
 let test_pooled_vs_fresh_reports () =
   List.iter
     (fun (w, n, runs) ->
@@ -148,7 +181,12 @@ let test_pooled_vs_fresh_reports () =
             (Fuzz_run.fuzz ~runs ~seed w ~n)
             (fresh_fuzz ~runs ~seed w ~n))
         seeds)
-    [ (Fuzz_run.tas_composed, 3, 40); (Fuzz_run.f1, 3, 40); (Fuzz_run.splitter, 3, 30) ]
+    [
+      (Fuzz_run.tas_composed, 3, 40);
+      (Fuzz_run.f1, 3, 40);
+      (Fuzz_run.splitter, 3, 30);
+      (Fuzz_run.queue, 3, 4);
+    ]
 
 (* Turn-for-turn schedules for EVERY run, not just violating ones: wrap
    a workload so check always raises Violation, surfacing the captured
@@ -205,6 +243,50 @@ let test_pooled_vs_fresh_obs () =
         (List.length (O.op_metrics a))
         (List.length (O.op_metrics b)))
     seeds
+
+(* [Obs_run.measure] installs a target once per domain and rewinds it
+   with [Sim.reset] plus the target's rearm hook between runs. This
+   fresh loop installs every run on a new simulator instead, feeding one
+   sink along the same rng chain. *)
+let fresh_obs_run ~runs ~seed ~crash_prob target ~n =
+  let backend = Scs_prims.Backend.default in
+  let obs = Scs_obs.Obs.create ~record_ring:false ~n () in
+  let prng = Scs_util.Rng.create seed in
+  for _ = 1 to runs do
+    let rng = Scs_util.Rng.split prng in
+    let crashes = Obs_run.gen_crashes rng ~n ~crash_prob in
+    let sim = Sim.create ~obs ~n () in
+    let rearm = Obs_run.install ~backend ~obs ~target ~n sim in
+    let pol_rng = Obs_run.arm_run ~target ~rearm rng in
+    let crashes = match target with Obs_run.Cons _ -> [] | _ -> crashes in
+    try Sim.run ~crashes sim (Policy.random pol_rng) with Sim.Livelock _ -> ()
+  done;
+  obs
+
+(* Every measured target, with and without crashes: the batch aggregate
+   equals the fresh loop's sink, operation for operation. *)
+let test_obs_run_vs_fresh () =
+  let n = 3 and runs = 30 and seed = 11 in
+  List.iter
+    (fun target ->
+      List.iter
+        (fun crash_prob ->
+          let l = Printf.sprintf "%s crash=%.2f" (Obs_run.target_name target) crash_prob in
+          let a = Obs_run.measure ~runs ~seed ~crash_prob target ~n in
+          let b = fresh_obs_run ~runs ~seed ~crash_prob target ~n in
+          let module O = Scs_obs.Obs in
+          Alcotest.(check int) (l ^ " runs") runs a.Obs_run.runs;
+          Alcotest.(check int) (l ^ " #ops") (List.length (O.op_metrics b)) (List.length a.ops);
+          if a.ops <> O.op_metrics b then Alcotest.failf "%s: op metrics diverged" l;
+          Alcotest.(check int) (l ^ " max interval contention") (O.max_interval_contention b)
+            a.max_interval_contention;
+          Alcotest.(check int) (l ^ " aborts") (O.total_aborts b) a.aborts;
+          Alcotest.(check int) (l ^ " handoffs") (O.total_handoffs b) a.handoffs;
+          Alcotest.(check int) (l ^ " crashes") (List.length (O.crashes b)) a.crashes;
+          Alcotest.(check (list (triple string int int))) (l ^ " object census") (O.objects b)
+            a.objects)
+        [ 0.0; 0.3 ])
+    (List.filter_map Obs_run.target_of_string (Obs_run.target_names ()))
 
 (* Pool accounting: one pooled simulator per policy batch — exactly one
    fresh create per policy, every later acquire a reuse. *)
@@ -380,6 +462,7 @@ let tests =
     Alcotest.test_case "pooled vs fresh: every schedule bit-identical" `Quick
       test_pooled_vs_fresh_every_schedule;
     Alcotest.test_case "pooled vs fresh: obs counters" `Quick test_pooled_vs_fresh_obs;
+    Alcotest.test_case "Obs_run batch vs fresh: every target" `Quick test_obs_run_vs_fresh;
     Alcotest.test_case "pool stats: creates vs reuses" `Quick test_pool_stats;
     Alcotest.test_case "snapshot/reset: scripted differential" `Quick
       test_snapshot_reset_differential;
