@@ -9,16 +9,14 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     b : (int * 'v option) option P.reg array;
     quit : bool P.reg;
     dec : 'v option P.reg;
-    name : string;
   }
 
   let create ~name ~n () =
     {
-      a = Array.init n (fun i -> P.reg ~name:(Printf.sprintf "%s.A[%d]" name i) None);
-      b = Array.init n (fun i -> P.reg ~name:(Printf.sprintf "%s.B[%d]" name i) None);
+      a = Array.init n (fun i -> P.reg ~name:(name ^ ".A[" ^ string_of_int i ^ "]") None);
+      b = Array.init n (fun i -> P.reg ~name:(name ^ ".B[" ^ string_of_int i ^ "]") None);
       quit = P.reg ~name:(name ^ ".Quit") false;
       dec = P.reg ~name:(name ^ ".Dec") None;
-      name;
     }
 
   let collect arr = Array.to_list (Array.map P.read arr)
@@ -90,5 +88,5 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       Outcome.Abort (P.read t.dec)
     end
 
-  let instance t = Consensus_intf.wrap ~name:t.name (fun ~pid v -> propose t ~pid v)
+  let instance t = Consensus_intf.wrap ~name:"bakery" (fun ~pid v -> propose t ~pid v)
 end

@@ -6,7 +6,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     let stages = Array.of_list instances in
     let k_stages = Array.length stages in
     let moved =
-      Array.init k_stages (fun k -> P.reg ~name:(Printf.sprintf "%s.moved[%d]" name k) false)
+      Array.init k_stages (fun k -> P.reg ~name:(name ^ ".moved[" ^ string_of_int k ^ "]") false)
     in
     (* Leave stage [k]: raise the flag first, then probe, so that any
        stage-[k] committer that returns after our probe is forced to see
@@ -56,5 +56,5 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
           probe_stages (k_stages - 1)
       | Some v -> run ~pid ~old:None v
     in
-    { Consensus_intf.name; propose_raw; run }
+    { Consensus_intf.name = "chain"; propose_raw; run }
 end

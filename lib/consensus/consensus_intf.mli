@@ -36,6 +36,10 @@ open Scs_composable
 
 type 'v t = {
   name : string;
+      (** the algorithm's kind: ["split"], ["bakery"], ["cas"],
+          ["recoverable-split"], ["recoverable-bakery"] or ["chain"]. Not
+          an instance name: every slot of a kind shares one string, and the
+          instance's shared objects carry their own names. *)
   propose_raw : pid:int -> 'v option -> ('v option, 'v option) Outcome.t;
       (** the bare [propose] procedure *)
   run : pid:int -> old:'v option -> 'v -> ('v option, 'v option) Outcome.t;

@@ -24,7 +24,6 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     dec : 'v option P.reg;
     phase : 'v phase P.reg array;
     hint : bool P.reg array;  (** volatile decided-hint, one per process *)
-    name : string;
   }
 
   let create ~name ?(volatile_announce = false) ~n () =
@@ -32,16 +31,15 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     {
       a =
         Array.init n (fun i ->
-            announce_reg ~name:(Printf.sprintf "%s.A[%d]" name i) None);
-      b = Array.init n (fun i -> P.reg ~name:(Printf.sprintf "%s.B[%d]" name i) None);
+            announce_reg ~name:(name ^ ".A[" ^ string_of_int i ^ "]") None);
+      b = Array.init n (fun i -> P.reg ~name:(name ^ ".B[" ^ string_of_int i ^ "]") None);
       quit = P.reg ~name:(name ^ ".Quit") false;
       dec = P.reg ~name:(name ^ ".Dec") None;
       phase =
-        Array.init n (fun i -> P.reg ~name:(Printf.sprintf "%s.Ph[%d]" name i) P_idle);
+        Array.init n (fun i -> P.reg ~name:(name ^ ".Ph[" ^ string_of_int i ^ "]") P_idle);
       hint =
         Array.init n (fun i ->
-            P.volatile_reg ~name:(Printf.sprintf "%s.H[%d]" name i) false);
-      name;
+            P.volatile_reg ~name:(name ^ ".H[" ^ string_of_int i ^ "]") false);
     }
 
   let collect arr = Array.to_list (Array.map P.read arr)
@@ -134,5 +132,5 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         Some (Outcome.Abort (P.read t.dec))
 
   let decision t = P.read t.dec
-  let instance t = Consensus_intf.wrap ~name:t.name (fun ~pid v -> propose t ~pid v)
+  let instance t = Consensus_intf.wrap ~name:"recoverable-bakery" (fun ~pid v -> propose t ~pid v)
 end

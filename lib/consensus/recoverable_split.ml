@@ -17,7 +17,6 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     v : 'v option P.reg;  (** durable tentative decision; [None] is ⊥ *)
     c : bool P.reg;  (** durable contention flag *)
     phase : 'v phase P.reg array;  (** durable per-process recovery phase *)
-    name : string;
   }
 
   let create ~name ~n () =
@@ -27,8 +26,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       v = P.reg ~name:(name ^ ".V") None;
       c = P.reg ~name:(name ^ ".C") false;
       phase =
-        Array.init n (fun i -> P.reg ~name:(Printf.sprintf "%s.Ph[%d]" name i) P_idle);
-      name;
+        Array.init n (fun i -> P.reg ~name:(name ^ ".Ph[" ^ string_of_int i ^ "]") P_idle);
     }
 
   let split t ~pid =
@@ -109,5 +107,5 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         Some out
 
   let decision t = P.read t.v
-  let instance t = Consensus_intf.wrap ~name:t.name (fun ~pid v -> propose t ~pid v)
+  let instance t = Consensus_intf.wrap ~name:"recoverable-split" (fun ~pid v -> propose t ~pid v)
 end

@@ -7,7 +7,6 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     s : Sp.t;
     v : 'v option P.reg;  (** tentative decision; [None] is ⊥ *)
     c : bool P.reg;  (** contention flag *)
-    name : string;
   }
 
   let create ~name () =
@@ -15,7 +14,6 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       s = Sp.create ~name:(name ^ ".S") ();
       v = P.reg ~name:(name ^ ".V") None;
       c = P.reg ~name:(name ^ ".C") false;
-      name;
     }
 
   (* Algorithm 3, [propose]. Proposing [None] on a fresh, uncontended
@@ -51,5 +49,5 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       Outcome.Abort (P.read t.v)
     end
 
-  let instance t = Consensus_intf.wrap ~name:t.name (fun ~pid v -> propose t ~pid v)
+  let instance t = Consensus_intf.wrap ~name:"split" (fun ~pid v -> propose t ~pid v)
 end

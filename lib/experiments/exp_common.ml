@@ -5,6 +5,8 @@ let section id title =
 
 let note s = Printf.printf "%s\n" s
 
+let solo_ns = [ 2; 4; 8; 16; 32; Scs_sim.Sim.max_processes ]
+
 let mean field ops =
   match ops with
   | [] -> 0.0

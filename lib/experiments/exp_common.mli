@@ -7,6 +7,10 @@ val section : string -> string -> unit
 
 val note : string -> unit
 
+val solo_ns : int list
+(** The process counts of the solo-cost sweeps (T1, T3, T4, T13): powers
+    of two up to 32, then the simulator's cap {!Scs_sim.Sim.max_processes}. *)
+
 val mean_steps : Scs_workload.Tas_run.op_record list -> float
 val mean_rmws : Scs_workload.Tas_run.op_record list -> float
 val mean_raws : Scs_workload.Tas_run.op_record list -> float

@@ -72,7 +72,7 @@ let run () =
           string_of_int rmws;
           string_of_int raws;
         ])
-      [ 2; 4; 8; 16; 32; 64 ]
+      Exp_common.solo_ns
   in
   Table.print
     ~title:"Solo operation cost vs number of processes (paper: constant, registers only)"

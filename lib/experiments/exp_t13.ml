@@ -15,8 +15,6 @@ open Scs_util
 open Scs_sim
 open Scs_workload
 
-let ns = [ 2; 4; 8; 16; 32; 64 ]
-
 (* Solo cost sweep: A1 flat, bakery linear. Uses Obs_run.solo — one
    process runs to completion alone, its op bracket is the sample. *)
 let solo_table () =
@@ -35,7 +33,7 @@ let solo_table () =
           Exp_common.f2 (float_of_int (steps bak) /. float_of_int n);
           string_of_int a1.Obs_run.max_interval_contention;
         ])
-      ns
+      Exp_common.solo_ns
   in
   Table.print
     ~title:

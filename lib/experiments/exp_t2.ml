@@ -41,6 +41,9 @@ let switch_cost ~n =
       ( float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l),
         List.fold_left max 0 l )
 
+(* process counts of the switch-cost sweep *)
+let ns = [ 2; 4; 8; 16; 32 ]
+
 let run () =
   Exp_common.section "T2" "Composed TAS: step complexity by contention, vs baselines";
   let seq_name = "sequential" and rnd_name = "random" in
@@ -68,7 +71,7 @@ let run () =
       (fun n ->
         let mean, mx = switch_cost ~n in
         [ string_of_int n; Exp_common.f2 mean; string_of_int mx ])
-      [ 2; 4; 8; 16; 32 ]
+      ns
   in
   Table.print
     ~title:

@@ -26,7 +26,7 @@ let run () =
     List.map
       (fun n ->
         [ string_of_int n; string_of_int (Cons_run.solo_steps Cons_run.Split ~n) ])
-      [ 2; 4; 8; 16; 32; 64 ]
+      Exp_common.solo_ns
   in
   Table.print ~title:"Solo decision cost (paper: constant)" ~header:[ "n"; "solo steps" ] rows;
   print_newline ();

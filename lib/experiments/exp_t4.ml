@@ -13,7 +13,7 @@ let run () =
       (fun n ->
         let s = Cons_run.solo_steps Cons_run.Bakery ~n in
         [ string_of_int n; string_of_int s; Exp_common.f2 (float_of_int s /. float_of_int n) ])
-      [ 2; 4; 8; 16; 32; 64 ]
+      Exp_common.solo_ns
   in
   Table.print
     ~title:"Solo decision cost (paper: linear in n; the ratio steps/n converges)"

@@ -279,10 +279,10 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     in
     let apply ~pid ~key payload =
       let hp = handles.(pid).(key) in
-      let s0 = Uc.stage_of (snd hp) in
+      let s0 = Uc.stage_of (Uc.Typed.phandle hp) in
       match Uc.Typed.apply hp (fresh_req pid payload) with
       | _ ->
-          let switched = Uc.stage_of (snd hp) - s0 in
+          let switched = Uc.stage_of (Uc.Typed.phandle hp) - s0 in
           let u = used.(pid) + 1 in
           used.(pid) <- u;
           f_aborts switched lor f_handoffs switched

@@ -37,7 +37,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
   type h = {
     t : t;
     pid : int;
-    hs : (shard_obj * Kv.req Uc.phandle) array;
+    hs : (Kv.state, Kv.req, Kv.resp) Uc.Typed.handle array;
     mutable ctr : int;
     mutable inflight : (int * Kv.req Request.t) option;
   }

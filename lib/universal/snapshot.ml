@@ -7,7 +7,9 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     {
       regs =
         Array.init n (fun i ->
-            P.reg ~name:(Printf.sprintf "%s.snap[%d]" name i) { value = init; seq = 0; view = None });
+            P.reg
+              ~name:(name ^ ".snap[" ^ string_of_int i ^ "]")
+              { value = init; seq = 0; view = None });
       n;
     }
 

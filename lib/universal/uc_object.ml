@@ -9,9 +9,10 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     let ucs =
       List.mapi
         (fun i make ->
-          let uname = Printf.sprintf "%s.stage%d" name i in
+          let uname = name ^ ".stage" ^ string_of_int i in
+          let prefix = uname ^ ".cons" in
           U.create ~name:uname ~n ~max_requests
-            ~make_cons:(fun ~slot -> make ~name:(Printf.sprintf "%s.cons%d" uname slot) ~slot)
+            ~make_cons:(fun ~slot -> make ~name:(prefix ^ string_of_int slot) ~slot)
             ())
         stages
     in
@@ -49,11 +50,53 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     type ('q, 'i, 'r) obj = { spec : ('q, 'i, 'r) Spec.t; chain : 'i t }
 
     let create spec chain = { spec; chain }
-    let handle obj ~pid = (obj, phandle obj.chain ~pid)
 
-    let apply (obj, ph) req =
-      let hist = invoke ph req in
-      match History.beta_at obj.spec hist (Request.id req) with
+    (* The response cache: [state] is the spec state after the first
+       [applied] entries of stage [stage]'s commit log, [responses] those
+       entries' responses by request id (ids are unique in a log: the
+       construction deduplicates decisions). DESIGN.md §4 argues why the
+       cache is sound. *)
+    type ('q, 'i, 'r) handle = {
+      spec : ('q, 'i, 'r) Spec.t;
+      ph : 'i phandle;
+      mutable stage : int;
+      mutable state : 'q;
+      mutable applied : int;
+      responses : (int, 'r) Hashtbl.t;
+    }
+
+    let handle (obj : (_, _, _) obj) ~pid =
+      {
+        spec = obj.spec;
+        ph = phandle obj.chain ~pid;
+        stage = 0;
+        state = obj.spec.Spec.init;
+        applied = 0;
+        responses = Hashtbl.create 16;
+      }
+
+    let phandle h = h.ph
+
+    let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
+
+    let apply h req =
+      let hist = invoke h.ph req in
+      if h.ph.stage <> h.stage then begin
+        (* a new stage's log starts from the transferred history: the
+           one rebuild a switch costs *)
+        h.stage <- h.ph.stage;
+        h.state <- h.spec.Spec.init;
+        h.applied <- 0;
+        Hashtbl.reset h.responses
+      end;
+      List.iter
+        (fun r ->
+          let q, resp = h.spec.Spec.apply h.state (Request.payload r) in
+          h.state <- q;
+          h.applied <- h.applied + 1;
+          Hashtbl.replace h.responses (Request.id r) resp)
+        (drop h.applied hist);
+      match Hashtbl.find_opt h.responses (Request.id req) with
       | Some r -> r
       | None -> failwith "Uc_object.Typed.apply: committed history misses the request"
   end

@@ -51,9 +51,22 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     type ('q, 'i, 'r) obj
 
     val create : ('q, 'i, 'r) Spec.t -> 'i t -> ('q, 'i, 'r) obj
-    val handle : ('q, 'i, 'r) obj -> pid:int -> ('q, 'i, 'r) obj * 'i phandle
 
-    val apply : ('q, 'i, 'r) obj * 'i phandle -> 'i Request.t -> 'r
-    (** Commit the request and evaluate its response, [β(h, m)]. *)
+    type ('q, 'i, 'r) handle
+    (** A process's {!phandle} plus its response cache: the spec state
+        after the entries of the current stage's commit log evaluated so
+        far, and their responses by request id. *)
+
+    val handle : ('q, 'i, 'r) obj -> pid:int -> ('q, 'i, 'r) handle
+
+    val phandle : ('q, 'i, 'r) handle -> 'i phandle
+    (** The underlying chain handle ({!stage_of}, {!switch_lengths}). *)
+
+    val apply : ('q, 'i, 'r) handle -> 'i Request.t -> 'r
+    (** Commit the request and return its response, [β(h, m)] for the
+        commit history [h]. Only the entries decided since the handle's
+        last call go through the spec; after a stage switch the cache is
+        rebuilt once from the new stage's log. Re-applying a request that
+        is already committed returns the same response. *)
   end
 end

@@ -35,7 +35,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       cons = Array.init max_requests (fun slot -> make_cons ~slot);
       aborted = P.reg ~name:(name ^ ".Aborted") false;
       reqs = Snap.create ~name:(name ^ ".Reqs") ~n ~init:[];
-      c = Array.init n (fun i -> P.reg ~name:(Printf.sprintf "%s.C[%d]" name i) 0);
+      c = Array.init n (fun i -> P.reg ~name:(name ^ ".C[" ^ string_of_int i ^ "]") 0);
     }
 
   let handle t ~pid ~init =

@@ -15,6 +15,7 @@ let () =
       ("findings", Test_findings.tests);
       ("long_lived", Test_long_lived.tests);
       ("universal", Test_universal.tests);
+      ("typed-diff", Test_universal.diff_tests);
       ("locks", Test_locks.tests);
       ("native", Test_native.tests);
       ("prims-parity", Test_prims.tests);

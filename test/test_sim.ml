@@ -324,6 +324,19 @@ let test_pause_counts_as_turn () =
   Sim.run sim (Policy.round_robin ());
   Alcotest.(check int) "pauses consumed clock" 5 (Sim.clock sim)
 
+(* A sweep past the cap raises [Invalid_argument] in [Sim.create] and
+   stops a bare [scs experiment] at that table. *)
+let test_experiment_sweeps_within_cap () =
+  List.iter
+    (fun (e : Scs_experiments.Registry.t) ->
+      List.iter
+        (fun n ->
+          if n > Sim.max_processes then
+            Alcotest.failf "%s sweeps n = %d, past the %d-process cap" e.Scs_experiments.Registry.id
+              n Sim.max_processes)
+        e.Scs_experiments.Registry.ns)
+    Scs_experiments.Registry.all
+
 let tests =
   [
     Alcotest.test_case "solo run" `Quick test_solo_run;
@@ -349,4 +362,6 @@ let tests =
     Alcotest.test_case "swap semantics" `Quick test_swap_semantics;
     Alcotest.test_case "weighted policy" `Quick test_weighted_policy;
     Alcotest.test_case "pause counts as turn" `Quick test_pause_counts_as_turn;
+    Alcotest.test_case "experiment sweeps within the process cap" `Quick
+      test_experiment_sweeps_within_cap;
   ]

@@ -4,7 +4,9 @@
    - Abstract properties (Definition 1) on recorded stage traces;
    - the composition (Proposition 1): split → bakery → CAS chain is
      wait-free and linearizable for fetch&inc and queue objects;
-   - the state-transfer cost (abort histories grow with committed work). *)
+   - the state-transfer cost (abort histories grow with committed work);
+   - Typed's cached responses against full-history replay, and the
+     per-slot object names the arena builds. *)
 
 open Scs_spec
 open Scs_history
@@ -287,6 +289,227 @@ let test_typed_queue_sequential_fifo () =
   Alcotest.(check bool) "sequential queue linearizable" true
     (Linearize.check_events Objects.queue evs)
 
+(* ---- incremental responses vs full replay ------------------------------ *)
+
+(* One run of split > bakery > cas at n = 3. Each process applies [ops]
+   requests, then re-applies its last one (the [Service.recover] path).
+   [typed] answers through [Typed.apply]'s response cache; otherwise each
+   answer is [β(h, m)] over the full commit history. Neither takes a
+   simulated step, so under one policy and seed both runs follow the
+   same schedule. Also returns how many requests switched stage after
+   their handle had already answered one: those switches rebuild a
+   non-empty cache. *)
+let diff_run ~typed ~policy spec payload =
+  let n = 3 and ops = 5 in
+  let sim = Sim.create ~max_steps:20_000_000 ~n () in
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let module AB = Scs_consensus.Abortable_bakery.Make (P) in
+  let module CC = Scs_consensus.Cas_consensus.Make (P) in
+  let stages =
+    [
+      (fun ~name ~slot:_ -> SC.instance (SC.create ~name ()));
+      (fun ~name ~slot:_ -> AB.instance (AB.create ~name ~n ()));
+      (fun ~name ~slot:_ -> CC.instance (CC.create ~name ()));
+    ]
+  in
+  let obj = UO.Typed.create spec (UO.create ~name:"d" ~n ~max_requests:64 ~stages ()) in
+  let out = Array.make n [] and late_switches = ref 0 in
+  for pid = 0 to n - 1 do
+    Sim.spawn sim pid (fun () ->
+        let th = UO.Typed.handle obj ~pid in
+        let ph = UO.Typed.phandle th in
+        let apply req =
+          let s0 = UO.stage_of ph in
+          let r =
+            if typed then UO.Typed.apply th req
+            else
+              match History.beta_at spec (UO.invoke ph req) (Request.id req) with
+              | Some r -> r
+              | None -> Alcotest.fail "reference: committed history misses the request"
+          in
+          if out.(pid) <> [] && UO.stage_of ph > s0 then incr late_switches;
+          out.(pid) <- r :: out.(pid)
+        in
+        let reqs = List.init ops (fun k -> Request.make (((k + 1) * n) + pid) (payload pid k)) in
+        List.iter apply reqs;
+        apply (List.nth reqs (ops - 1)))
+  done;
+  Sim.run sim policy;
+  (Array.map List.rev out, !late_switches)
+
+(* Uniform interleaving switches stage inside the first requests; the
+   sticky and solo-prefix policies let a handle answer some requests on
+   the split stage before contention forces a switch. *)
+let diff_policies =
+  [
+    ("random", fun seed -> Policy.random (Scs_util.Rng.create seed));
+    ("sticky", fun seed -> Policy.sticky (Scs_util.Rng.create seed) ~switch_prob:0.02);
+    ( "solo-prefix",
+      fun seed ->
+        let rng = Scs_util.Rng.create seed in
+        Policy.scripted_then (Array.make (40 + Scs_util.Rng.int rng 200) 0) (Policy.random rng) );
+  ]
+
+let show_resps spec runs =
+  String.concat " | "
+    (Array.to_list (Array.map (fun l -> String.concat "," (List.map spec.Spec.show_resp l)) runs))
+
+(* true iff the two runs agree op by op and every re-applied request
+   answered as before; adds the cached run's late switches *)
+let diff_case (spec : (_, _, _) Spec.t) payload ~switches seed =
+  List.for_all
+    (fun (pname, policy) ->
+      let cached, sw = diff_run ~typed:true ~policy:(policy seed) spec payload in
+      let replayed, _ = diff_run ~typed:false ~policy:(policy seed) spec payload in
+      switches := !switches + sw;
+      let again_same rs =
+        match List.rev rs with again :: last :: _ -> spec.Spec.equal_resp again last | _ -> false
+      in
+      let ok =
+        Array.for_all2 (List.equal spec.Spec.equal_resp) cached replayed
+        && Array.for_all again_same cached
+      in
+      if not ok then
+        QCheck.Test.fail_reportf "%s seed %d %s: cached [%s] vs replayed [%s]%s" spec.Spec.name
+          seed pname (show_resps spec cached) (show_resps spec replayed) Test_seed.label;
+      ok)
+    diff_policies
+
+let queue_payload pid k = if k mod 2 = 0 then Objects.Enqueue ((10 * pid) + k) else Objects.Dequeue
+
+let kv_payload pid k =
+  let key = (pid + k) mod 3 in
+  if (pid + k) mod 3 = 1 then Scs_shard.Kv.Get key else Scs_shard.Kv.Put (key, (10 * pid) + k)
+
+(* Seeds are not shrunk: a smaller list can only lose the switches the
+   property requires. *)
+let prop_typed_matches_replay =
+  QCheck.Test.make ~count:25 ~name:"Typed.apply matches full-history replay (queue, kv)"
+    (QCheck.make
+       ~print:(fun l -> String.concat "," (List.map string_of_int l))
+       QCheck.Gen.(list_repeat 4 (int_bound 1_000_000)))
+    (fun seeds ->
+      let switches = ref 0 in
+      let ok =
+        List.for_all
+          (fun seed ->
+            diff_case Objects.queue queue_payload ~switches seed
+            && diff_case (Scs_shard.Kv.spec ~buckets:2) kv_payload ~switches seed)
+          seeds
+      in
+      if ok && !switches = 0 then
+        QCheck.Test.fail_reportf "no stage switch after a cached response%s" Test_seed.label;
+      ok)
+
+(* The per-slot object names, as recorded before they were built by
+   string concatenation instead of [Printf.sprintf]: every memory event
+   of a solo run in full, and the digest plus the distinct names of a
+   round-robin run that reaches every stage. *)
+let names_of sim = List.map (fun e -> e.Mem_event.obj_name) (Sim.trace sim)
+
+let uc_event_names policy procs =
+  let sim = Sim.create ~n:2 () in
+  Sim.set_trace sim true;
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let module AB = Scs_consensus.Abortable_bakery.Make (P) in
+  let module CC = Scs_consensus.Cas_consensus.Make (P) in
+  let stages =
+    [
+      (fun ~name ~slot:_ -> SC.instance (SC.create ~name ()));
+      (fun ~name ~slot:_ -> AB.instance (AB.create ~name ~n:2 ()));
+      (fun ~name ~slot:_ -> CC.instance (CC.create ~name ()));
+    ]
+  in
+  let uc = UO.create ~name:"uc" ~n:2 ~max_requests:8 ~stages () in
+  List.iter
+    (fun pid ->
+      Sim.spawn sim pid (fun () ->
+          ignore (UO.invoke (UO.phandle uc ~pid) (Request.make pid Objects.Fai_inc))))
+    procs;
+  Sim.run sim policy;
+  names_of sim
+
+let chain_event_names ?(recoverable = false) policy procs =
+  let sim = Sim.create ~n:2 () in
+  Sim.set_trace sim true;
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module CH = Scs_consensus.Chain.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let module AB = Scs_consensus.Abortable_bakery.Make (P) in
+  let module CC = Scs_consensus.Cas_consensus.Make (P) in
+  let module RS = Scs_consensus.Recoverable_split.Make (P) in
+  let module RB = Scs_consensus.Recoverable_bakery.Make (P) in
+  let ch =
+    CH.make ~name:"ch"
+      [
+        (if recoverable then RS.instance (RS.create ~name:"ch.split" ~n:2 ())
+         else SC.instance (SC.create ~name:"ch.split" ()));
+        (if recoverable then RB.instance (RB.create ~name:"ch.bakery" ~n:2 ())
+         else AB.instance (AB.create ~name:"ch.bakery" ~n:2 ()));
+        CC.instance (CC.create ~name:"ch.cas" ());
+      ]
+  in
+  List.iter
+    (fun pid ->
+      Sim.spawn sim pid (fun () ->
+          ignore (ch.Scs_consensus.Consensus_intf.run ~pid ~old:None (pid + 1))))
+    procs;
+  Sim.run sim policy;
+  names_of sim
+
+let test_object_names_pinned () =
+  let check_all what expected names =
+    Alcotest.(check string) what expected (String.concat " " names)
+  in
+  let check_digest what digest distinct names =
+    Alcotest.(check string)
+      (what ^ ": distinct names") distinct
+      (String.concat " " (List.sort_uniq compare names));
+    Alcotest.(check string)
+      (what ^ ": event digest") digest
+      (Digest.to_hex (Digest.string (String.concat " " names)))
+  in
+  check_all "uc solo"
+    "uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[1] uc.stage0.Reqs.snap[0] \
+     uc.stage0.Reqs.snap[1] uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[0] uc.stage0.Aborted \
+     uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[1] uc.stage0.Reqs.snap[0] \
+     uc.stage0.Reqs.snap[1] uc.stage0.cons0.S.X uc.stage0.cons0.S.Y uc.stage0.cons0.S.Y \
+     uc.stage0.cons0.S.X uc.stage0.cons0.V uc.stage0.cons0.V uc.stage0.cons0.C \
+     uc.stage0.cons0.S.X uc.stage0.cons0.S.Y uc.stage0.cons0.S.X uc.stage0.cons0.S.Y \
+     uc.stage0.cons0.S.Y uc.stage0.cons0.S.X uc.stage0.cons0.V uc.stage0.cons0.V \
+     uc.stage0.cons0.C uc.stage0.cons0.S.X uc.stage0.cons0.S.Y uc.stage0.C[0] \
+     uc.stage0.Aborted"
+    (uc_event_names (Policy.solo 0) [ 0 ]);
+  check_all "chain solo"
+    "ch.split.S.X ch.split.S.Y ch.split.S.Y ch.split.S.X ch.split.V ch.split.V ch.split.C \
+     ch.split.S.X ch.split.S.Y ch.split.S.X ch.split.S.Y ch.split.S.Y ch.split.S.X ch.split.V \
+     ch.split.V ch.split.C ch.split.S.X ch.split.S.Y ch.moved[0]"
+    (chain_event_names (Policy.solo 0) [ 0 ]);
+  check_digest "uc round-robin" "14d2e5577587816959d8fd2f4daa5a27"
+    "uc.stage0.Aborted uc.stage0.C[0] uc.stage0.C[1] uc.stage0.Reqs.snap[0] \
+     uc.stage0.Reqs.snap[1] uc.stage0.cons0.C uc.stage0.cons0.S.X uc.stage0.cons0.S.Y \
+     uc.stage0.cons0.V uc.stage1.Aborted uc.stage1.C[0] uc.stage1.C[1] uc.stage1.Reqs.snap[0] \
+     uc.stage1.Reqs.snap[1] uc.stage1.cons0.A[0] uc.stage1.cons0.A[1] uc.stage1.cons0.B[0] \
+     uc.stage1.cons0.B[1] uc.stage1.cons0.Dec uc.stage1.cons0.Quit uc.stage2.Aborted \
+     uc.stage2.C[0] uc.stage2.C[1] uc.stage2.Reqs.snap[0] uc.stage2.Reqs.snap[1] \
+     uc.stage2.cons0.CAS uc.stage2.cons1.CAS"
+    (uc_event_names (Policy.round_robin ()) [ 0; 1 ]);
+  check_digest "chain round-robin" "5dd69bb33e47a77811bdab1b7de1b76a"
+    "ch.bakery.A[0] ch.bakery.A[1] ch.bakery.B[0] ch.bakery.B[1] ch.bakery.Dec \
+     ch.bakery.Quit ch.cas.CAS ch.moved[0] ch.moved[1] ch.moved[2] ch.split.C ch.split.S.X \
+     ch.split.S.Y ch.split.V"
+    (chain_event_names (Policy.round_robin ()) [ 0; 1 ]);
+  check_digest "recoverable chain round-robin" "accb4bab1b4768e4d03937391c0ce1db"
+    "ch.bakery.A[0] ch.bakery.A[1] ch.bakery.B[0] ch.bakery.B[1] ch.bakery.Dec \
+     ch.bakery.H[0] ch.bakery.H[1] ch.bakery.Ph[0] ch.bakery.Ph[1] ch.bakery.Quit ch.cas.CAS \
+     ch.moved[0] ch.moved[1] ch.moved[2] ch.split.C ch.split.Ph[0] ch.split.Ph[1] ch.split.V \
+     ch.split.X ch.split.Y"
+    (chain_event_names ~recoverable:true (Policy.round_robin ()) [ 0; 1 ])
+
 let tests =
   [
     Alcotest.test_case "snapshot solo" `Quick test_snapshot_solo;
@@ -303,4 +526,9 @@ let tests =
     Alcotest.test_case "uc: state transfer grows (T5)" `Quick test_uc_state_transfer_grows;
     Alcotest.test_case "uc: typed queue linearizable" `Quick test_typed_queue_linearizable;
     Alcotest.test_case "uc: typed queue sequential" `Quick test_typed_queue_sequential_fifo;
+    Alcotest.test_case "uc: object names pinned" `Quick test_object_names_pinned;
   ]
+
+(* Run by CI under several SCS_QCHECK_SEED values. *)
+let diff_tests =
+  [ QCheck_alcotest.to_alcotest ~rand:(Test_seed.rand ()) prop_typed_matches_replay ]
