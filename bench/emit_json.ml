@@ -5,6 +5,10 @@
    Usage:
      dune exec bench/emit_json.exe -- [-o FILE] [--run ID] [--seed S] [--runs K] [--trials T]
      dune exec bench/emit_json.exe -- --check FILE   # validate only (CI smoke)
+     dune exec bench/emit_json.exe -- -o FILE --run ID \
+       --parent REV=results.json --parent-trees PATH=HASH,... \
+       --change REV=results.json --change-trees PATH=HASH,... [--pairs TSV]
+                                                     # wrap two scsbench suites
 
    The committed BENCH_5.json at the repo root is produced by the
    default invocation:
@@ -95,7 +99,7 @@ let emit ~out ~run ~seed ~runs ~trials =
 
 let check file =
   match Trajectory.load file with
-  | Ok t ->
+  | Ok (Trajectory.Trajectory t) ->
       let native =
         List.length
           (List.filter (fun r -> r.Trajectory.native <> None) t.Trajectory.records)
@@ -105,9 +109,59 @@ let check file =
         (List.length t.Trajectory.records)
         (if native > 0 then Printf.sprintf ", %d native" native else "");
       true
+  | Ok (Trajectory.Suite_pair p) ->
+      Printf.printf "%s: valid (%s, run %s, parent %s, change %s, %d pairs)\n" file
+        Trajectory.suite_pair_schema p.Trajectory.label p.Trajectory.parent.Trajectory.revision
+        p.Trajectory.change.Trajectory.revision (List.length p.Trajectory.pairs);
+      true
   | Error msg ->
       Printf.eprintf "%s: INVALID: %s\n" file msg;
       false
+
+(* Wrap two scsbench suite outputs (REV=FILE each, with the git tree
+   hashes of the measured source directories as PATH=HASH,...) and a TSV
+   of paired runs (workload, metric, parent value, change value per
+   line) into a suite-pair file. *)
+let wrap ~out ~run ~parent ~parent_trees ~change ~change_trees ~pairs =
+  let split_eq arg =
+    match String.index_opt arg '=' with
+    | None -> raise (Arg.Bad ("expected KEY=VALUE, got " ^ arg))
+    | Some i -> (String.sub arg 0 i, String.sub arg (i + 1) (String.length arg - i - 1))
+  in
+  let trees arg = if arg = "" then [] else List.map split_eq (String.split_on_char ',' arg) in
+  let side arg trees =
+    let revision, file = split_eq arg in
+    match Scs_util.Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
+    | Ok suite -> { Trajectory.revision; trees; suite }
+    | Error e -> failwith (file ^ ": " ^ e)
+  in
+  let pairs =
+    if pairs = "" then []
+    else
+      In_channel.with_open_text pairs In_channel.input_lines
+      |> List.filter (fun l -> String.trim l <> "")
+      |> List.map (fun l ->
+             match String.split_on_char '\t' l with
+             | [ w; m; p; c ] ->
+                 {
+                   Trajectory.p_workload = w;
+                   p_metric = m;
+                   p_parent = float_of_string p;
+                   p_change = float_of_string c;
+                 }
+             | _ -> failwith ("bad pairs line: " ^ l))
+  in
+  let p =
+    {
+      Trajectory.label = run;
+      parent = side parent (trees parent_trees);
+      change = side change (trees change_trees);
+      pairs;
+    }
+  in
+  Trajectory.save_suite_pair out p;
+  Printf.printf "wrote %s: schema %s, %d pairs\n" out Trajectory.suite_pair_schema
+    (List.length pairs)
 
 (* --check with no positional files validates every committed
    trajectory in the working directory, so adding BENCH_<k+1>.json to
@@ -128,6 +182,8 @@ let () =
   let runs = ref 20000 in
   let trials = ref 5 in
   let check_mode = ref false in
+  let parent = ref "" and change = ref "" and pairs = ref "" in
+  let parent_trees = ref "" and change_trees = ref "" in
   let files = ref [] in
   let spec =
     [
@@ -142,13 +198,27 @@ let () =
         Arg.Set check_mode,
         " validate trajectory files and exit (positional FILEs; default: every \
          BENCH_*.json in the working directory)" );
+      ("--parent", Arg.Set_string parent, "REV=FILE wrap mode: the parent's scsbench results.json");
+      ( "--parent-trees",
+        Arg.Set_string parent_trees,
+        "PATH=HASH,... wrap mode: git tree hashes of the parent's measured source directories" );
+      ("--change", Arg.Set_string change, "REV=FILE wrap mode: the change's scsbench results.json");
+      ( "--change-trees",
+        Arg.Set_string change_trees,
+        "PATH=HASH,... wrap mode: git tree hashes of the change's measured source directories" );
+      ("--pairs", Arg.Set_string pairs, "FILE wrap mode: TSV of paired runs");
     ]
   in
   Arg.parse spec
     (fun a ->
       files := a :: !files)
-    "emit_json [-o FILE] [--run ID] [--seed S] [--runs K] [--trials T] | --check [FILE...]";
-  if not !check_mode then begin
+    "emit_json [-o FILE] [--run ID] [--seed S] [--runs K] [--trials T] | --check [FILE...]\n\
+    \       | -o FILE --run ID --parent REV=FILE --parent-trees PATH=HASH,... --change \
+     REV=FILE --change-trees PATH=HASH,... [--pairs FILE]";
+  if !parent <> "" || !change <> "" then
+    wrap ~out:!out ~run:!run ~parent:!parent ~parent_trees:!parent_trees ~change:!change
+      ~change_trees:!change_trees ~pairs:!pairs
+  else if not !check_mode then begin
     (match !files with
     | [] -> ()
     | f :: _ -> raise (Arg.Bad (Printf.sprintf "unexpected argument %s" f)));

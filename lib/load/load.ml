@@ -127,6 +127,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
   module CI = Scs_consensus.Consensus_intf
 
   let spf = Printf.sprintf
+  let idx i = "[" ^ string_of_int i ^ "]"
 
   (* Long-lived composed TAS arena (Speculative / Strict_tas). Rounds
      advance as winners reset; when any key's round count nears the
@@ -254,16 +255,16 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
   let uc_register ~domains ~keys ~capacity =
     let stages =
       [
-        (fun ~name ~slot -> Sc.instance (Sc.create ~name:(spf "%s.split[%d]" name slot) ()));
+        (fun ~name ~slot -> Sc.instance (Sc.create ~name:(name ^ ".split" ^ idx slot) ()));
         (fun ~name ~slot ->
-          Ab.instance (Ab.create ~name:(spf "%s.bakery[%d]" name slot) ~n:domains ()));
-        (fun ~name ~slot -> Cc.instance (Cc.create ~name:(spf "%s.cas[%d]" name slot) ()));
+          Ab.instance (Ab.create ~name:(name ^ ".bakery" ^ idx slot) ~n:domains ()));
+        (fun ~name ~slot -> Cc.instance (Cc.create ~name:(name ^ ".cas" ^ idx slot) ()));
       ]
     in
     let mk_arena () =
       Array.init keys (fun k ->
           Uc.Typed.create Objects.register
-            (Uc.create ~name:(spf "load.uc[%d]" k) ~n:domains ~max_requests:capacity ~stages ()))
+            (Uc.create ~name:("load.uc" ^ idx k) ~n:domains ~max_requests:capacity ~stages ()))
     in
     let arena = ref (mk_arena ()) in
     let budget = max 1 ((capacity - (2 * domains) - 2) / domains) in
@@ -314,11 +315,12 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     let hand = Array.make domains 0 in
     let on_handoff ~pid ~stage:_ = hand.(pid) <- hand.(pid) + 1 in
     let mk_chain k i =
-      Ch.make ~on_handoff ~name:(spf "load.chain[%d][%d]" k i)
+      let name = "load.chain" ^ idx k ^ idx i in
+      Ch.make ~on_handoff ~name
         [
-          Sc.instance (Sc.create ~name:(spf "load.chain[%d][%d].split" k i) ());
-          Ab.instance (Ab.create ~name:(spf "load.chain[%d][%d].bakery" k i) ~n:domains ());
-          Cc.instance (Cc.create ~name:(spf "load.chain[%d][%d].cas" k i) ());
+          Sc.instance (Sc.create ~name:(name ^ ".split") ());
+          Ab.instance (Ab.create ~name:(name ^ ".bakery") ~n:domains ());
+          Cc.instance (Cc.create ~name:(name ^ ".cas") ());
         ]
     in
     let arena = Array.init keys (fun k -> Array.init capacity (mk_chain k)) in
@@ -380,10 +382,10 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     let mk () =
       let g = Atomic.fetch_and_add generation 1 in
       let svc =
-        Sv.create ~name:(spf "load.svc.g%d" g) ~n:domains ~shards ~buckets
+        Sv.create ~name:("load.svc.g" ^ string_of_int g) ~n:domains ~shards ~buckets
           ~capacity:shard_cap ()
       in
-      (svc, Sv.Batcher.create ~name:(spf "load.bat.g%d" g) svc)
+      (svc, Sv.Batcher.create ~name:("load.bat.g" ^ string_of_int g) svc)
     in
     let arena = ref (mk ()) in
     let budget = max 1 ((shard_cap - (2 * domains) - 4) / domains) in

@@ -78,11 +78,15 @@ type t = {
   mutable recovered : int list;  (* reverse recovery order *)
   (* per-object access census, dense int-indexed arrays (simulator obj
      ids are small and dense); an object is "seen" iff its step count is
-     positive, and keeps the name of its first recorded access *)
+     positive. An object allocated mid-run can get an id that another
+     object had in an earlier run: when an id shows up under a new name,
+     its counters so far move to [retired], and the census is merged by
+     name. *)
   mutable obj_names : string array;
   mutable obj_steps : int array;
   mutable obj_rmws : int array;
   mutable obj_hi : int;  (* 1 + highest id seen *)
+  retired : (string, int * int) Hashtbl.t;  (* name -> steps, rmws *)
   open_ops : open_op option array;
   metrics : op_metric Vec.t;
   mutable max_step_cont : int;
@@ -121,6 +125,7 @@ let create ?(ring_capacity = 4096) ?(record_ring = true) ~n () =
     obj_steps = [||];
     obj_rmws = [||];
     obj_hi = 0;
+    retired = Hashtbl.create 16;
     open_ops = Array.make n None;
     metrics = Vec.create ();
     max_step_cont = 0;
@@ -153,6 +158,7 @@ let null =
     obj_steps = [||];
     obj_rmws = [||];
     obj_hi = 0;
+    retired = Hashtbl.create 1;
     open_ops = [||];
     metrics = Vec.create ();
     max_step_cont = 0;
@@ -197,15 +203,33 @@ let ensure_obj t id =
     t.obj_rmws <- rmws
   end
 
+let add_named tbl name steps rmws =
+  let s, r = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl name) in
+  Hashtbl.replace tbl name (s + steps, r + rmws)
+
+(* Point census slot [id] at [name]; [id] may hold another object's
+   counts. A physically equal name is the common case and costs one
+   test. *)
+let claim t id name =
+  if t.obj_steps.(id) = 0 then begin
+    t.obj_names.(id) <- name;
+    if id >= t.obj_hi then t.obj_hi <- id + 1
+  end
+  else if t.obj_names.(id) != name then begin
+    if not (String.equal t.obj_names.(id) name) then begin
+      add_named t.retired t.obj_names.(id) t.obj_steps.(id) t.obj_rmws.(id);
+      t.obj_steps.(id) <- 0;
+      t.obj_rmws.(id) <- 0
+    end;
+    t.obj_names.(id) <- name
+  end
+
 let step t ~pid ~kind ~obj ~obj_name ~info =
   if t.enabled then begin
     t.clock <- t.clock + 1;
     t.steps.(pid) <- t.steps.(pid) + 1;
     ensure_obj t obj;
-    if t.obj_steps.(obj) = 0 then begin
-      t.obj_names.(obj) <- obj_name;
-      if obj >= t.obj_hi then t.obj_hi <- obj + 1
-    end;
+    claim t obj obj_name;
     t.obj_steps.(obj) <- t.obj_steps.(obj) + 1;
     match kind with
     | Rmw ->
@@ -321,11 +345,13 @@ let crashes t = List.rev t.crashed
 let recoveries t = List.rev t.recovered
 
 let objects t =
-  let acc = ref [] in
-  for id = t.obj_hi - 1 downto 0 do
-    if t.obj_steps.(id) > 0 then acc := (t.obj_names.(id), t.obj_steps.(id), t.obj_rmws.(id)) :: !acc
+  let by_name = Hashtbl.copy t.retired in
+  for id = 0 to t.obj_hi - 1 do
+    if t.obj_steps.(id) > 0 then
+      add_named by_name t.obj_names.(id) t.obj_steps.(id) t.obj_rmws.(id)
   done;
-  List.sort (fun (_, a, _) (_, b, _) -> compare b a) !acc
+  Hashtbl.fold (fun name (steps, rmws) acc -> (name, steps, rmws) :: acc) by_name []
+  |> List.sort (fun (na, a, _) (nb, b, _) -> if a <> b then compare b a else String.compare na nb)
 
 let op_metrics t = Vec.to_list t.metrics
 let max_step_contention t = t.max_step_cont
@@ -367,14 +393,12 @@ let merge_into ~into src =
     for id = 0 to src.obj_hi - 1 do
       if src.obj_steps.(id) > 0 then begin
         ensure_obj into id;
-        if into.obj_steps.(id) = 0 then begin
-          into.obj_names.(id) <- src.obj_names.(id);
-          if id >= into.obj_hi then into.obj_hi <- id + 1
-        end;
+        claim into id src.obj_names.(id);
         into.obj_steps.(id) <- into.obj_steps.(id) + src.obj_steps.(id);
         into.obj_rmws.(id) <- into.obj_rmws.(id) + src.obj_rmws.(id)
       end
     done;
+    Hashtbl.iter (fun name (steps, rmws) -> add_named into.retired name steps rmws) src.retired;
     Vec.iter (Vec.push into.metrics) src.metrics;
     if src.max_step_cont > into.max_step_cont then into.max_step_cont <- src.max_step_cont;
     if src.max_ivl_cont > into.max_ivl_cont then into.max_ivl_cont <- src.max_ivl_cont;

@@ -168,7 +168,10 @@ val recoveries : t -> int list
 
 val objects : t -> (string * int * int) list
 (** Per-object step census: [(name, steps, rmws)] sorted by steps,
-    descending. Space is O(distinct objects). *)
+    descending, ties by name. Objects are counted by name: an object
+    allocated mid-run may get a simulator id that a differently named
+    object had in an earlier run, and each keeps its own steps;
+    same-named objects share one row. Space is O(distinct objects). *)
 
 val op_metrics : t -> op_metric list
 (** Completed operation brackets, in completion order. *)
@@ -188,7 +191,8 @@ val merge_into : into:t -> t -> unit
 (** Fold one sink into another — the join step when each domain of a
     parallel explore/fuzz ran against its own private sink. Counters,
     per-object census and contention maxima are summed/maxed; op
-    metrics are appended in the source's completion order; crashes are
+    metrics are appended in the source's completion order; the census
+    is merged by object name, as {!objects} reads it; crashes are
     appended after the destination's; the source's ring is replayed
     into the destination oldest-first (destination eviction applies).
     Merging the per-domain sinks in a fixed (worker-index) order makes

@@ -79,12 +79,55 @@ val of_json : Scs_util.Json.t -> (t, string) result
     presence and type of every required field, returning a field-level
     error message on the first mismatch. *)
 
-val validate : string -> (t, string) result
-(** Parse and validate a raw JSON string. *)
-
 val save : string -> t -> unit
 (** Write to a file, round-tripping through {!validate} first so an
     emitter bug can never commit an invalid trajectory ([Failure] on
     mismatch). *)
 
-val load : string -> (t, string) result
+(** {1 Suite pairs} *)
+
+val suite_pair_schema : string
+(** ["scs.bench.suite-pair/1"]. *)
+
+type side = {
+  revision : string;
+      (** the git commit the suite ran on; a [-dirty] suffix marks a
+          working tree on top of it *)
+  trees : (string * string) list;
+      (** [(path, hash)]: the git tree hash of each measured source
+          directory, so a [-dirty] side can be matched to the commit
+          that contains it ([git rev-parse COMMIT:path]) *)
+  suite : Scs_util.Json.t;  (** [scsbench]'s [results.json], verbatim *)
+}
+
+type paired = {
+  p_workload : string;
+  p_metric : string;
+  p_parent : float;
+  p_change : float;  (** one alternating parent/change pair of runs *)
+}
+
+type suite_pair = { label : string; parent : side; change : side; pairs : paired list }
+
+val suite_pair_to_json : suite_pair -> Scs_util.Json.t
+
+val suite_pair_of_json : Scs_util.Json.t -> (suite_pair, string) result
+(** The validator: the schema tag, each side's revision and source
+    trees, its suite's provenance ([host_cores], [ocaml]), a median for every end-to-end
+    metric of every workload, the same workloads on both sides, and
+    every pair's fields. *)
+
+val save_suite_pair : string -> suite_pair -> unit
+(** Write to a file, validating first, like {!save}. *)
+
+(** {1 Any committed file} *)
+
+type file = Trajectory of t | Suite_pair of suite_pair
+
+val validate : string -> (file, string) result
+(** Parse and validate a raw [BENCH_*.json] of either shape, chosen by
+    its [schema] tag; an unknown tag is reported as a trajectory schema
+    mismatch. *)
+
+val load : string -> (file, string) result
+(** {!validate} a file's contents. *)

@@ -8,12 +8,13 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
   module Cc = Scs_consensus.Cas_consensus.Make (P)
 
   let spf = Printf.sprintf
+  let idx i = "[" ^ string_of_int i ^ "]"
 
   let default_stages ~n =
     [
-      (fun ~name ~slot -> Sc.instance (Sc.create ~name:(spf "%s.split[%d]" name slot) ()));
-      (fun ~name ~slot -> Ab.instance (Ab.create ~name:(spf "%s.bakery[%d]" name slot) ~n ()));
-      (fun ~name ~slot -> Cc.instance (Cc.create ~name:(spf "%s.cas[%d]" name slot) ()));
+      (fun ~name ~slot -> Sc.instance (Sc.create ~name:(name ^ ".split" ^ idx slot) ()));
+      (fun ~name ~slot -> Ab.instance (Ab.create ~name:(name ^ ".bakery" ^ idx slot) ~n ()));
+      (fun ~name ~slot -> Cc.instance (Cc.create ~name:(name ^ ".cas" ^ idx slot) ()));
     ]
 
   type shard_obj = (Kv.state, Kv.req, Kv.resp) Uc.Typed.obj
@@ -26,11 +27,12 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     let objs =
       Array.init shards (fun s ->
           Uc.Typed.create spec
-            (Uc.create ~name:(spf "%s.shard[%d]" name s) ~n ~max_requests:capacity ~stages ()))
+            (Uc.create ~name:(name ^ ".shard" ^ idx s) ~n ~max_requests:capacity ~stages ()))
     in
     { n; router = R.create ~name ~shards ~buckets (); objs }
 
   let router t = t.router
+  let forget_fallbacks t = Array.iter Uc.Typed.forget_fallbacks t.objs
   let shards t = Array.length t.objs
   let buckets t = R.buckets t.router
 

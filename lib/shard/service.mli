@@ -64,6 +64,9 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   val shards : t -> int
   val buckets : t -> int
 
+  val forget_fallbacks : t -> unit
+  (** [Uc_object]'s [forget_fallbacks] on every shard. *)
+
   type h
 
   val handle : t -> pid:int -> h

@@ -1,24 +1,51 @@
 open Scs_spec
+module CI = Scs_consensus.Consensus_intf
 
 module Make (P : Scs_prims.Prims_intf.S) = struct
   module U = Universal.Make (P)
 
-  type 'i t = { ucs : 'i U.t array; n_stages : int }
+  type 'i factory = name:string -> slot:int -> 'i Request.t CI.t
+
+  (* Stage 0 is built by [create], stage i >= 1 on the first switch
+     into it, published by a compare-and-set on a host-level cell so
+     processes racing to build it agree on one copy (DESIGN.md §4). *)
+  type 'i t = {
+    name : string;
+    n : int;
+    max_requests : int;
+    stages : 'i factory array;
+    ucs : 'i U.t option Atomic.t array;
+  }
+
+  let build t i =
+    let uname = t.name ^ ".stage" ^ string_of_int i in
+    let prefix = uname ^ ".cons" in
+    let make = t.stages.(i) in
+    U.create ~name:uname ~n:t.n ~max_requests:t.max_requests
+      ~make_cons:(fun ~slot -> make ~name:(prefix ^ string_of_int slot) ~slot)
+      ()
+
+  let stage t i =
+    let cell = t.ucs.(i) in
+    match Atomic.get cell with
+    | Some u -> u
+    | None ->
+        ignore (Atomic.compare_and_set cell None (Some (build t i)));
+        Option.get (Atomic.get cell)
 
   let create ~name ~n ~max_requests ~stages () =
-    let ucs =
-      List.mapi
-        (fun i make ->
-          let uname = name ^ ".stage" ^ string_of_int i in
-          let prefix = uname ^ ".cons" in
-          U.create ~name:uname ~n ~max_requests
-            ~make_cons:(fun ~slot -> make ~name:(prefix ^ string_of_int slot) ~slot)
-            ())
-        stages
+    let stages = Array.of_list stages in
+    if Array.length stages = 0 then invalid_arg "Uc_object.create: no stages";
+    let t =
+      { name; n; max_requests; stages; ucs = Array.map (fun _ -> Atomic.make None) stages }
     in
-    match ucs with
-    | [] -> invalid_arg "Uc_object.create: no stages"
-    | _ -> { ucs = Array.of_list ucs; n_stages = List.length ucs }
+    ignore (stage t 0);
+    t
+
+  let forget_fallbacks t =
+    for i = 1 to Array.length t.ucs - 1 do
+      Atomic.set t.ucs.(i) None
+    done
 
   type 'i phandle = {
     t : 'i t;
@@ -28,18 +55,18 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     mutable switches : int list;  (** lengths of transferred histories *)
   }
 
-  let phandle t ~pid = { t; pid; stage = 0; h = U.handle t.ucs.(0) ~pid ~init:[]; switches = [] }
+  let phandle t ~pid = { t; pid; stage = 0; h = U.handle (stage t 0) ~pid ~init:[]; switches = [] }
 
   let rec invoke ph req =
     match U.invoke ph.h req with
     | Universal.Committed hist -> hist
     | Universal.Aborted_with hist ->
-        if ph.stage + 1 >= ph.t.n_stages then
+        if ph.stage + 1 >= Array.length ph.t.stages then
           failwith "Uc_object.invoke: final stage aborted"
         else begin
           ph.switches <- List.length hist :: ph.switches;
           ph.stage <- ph.stage + 1;
-          ph.h <- U.handle ph.t.ucs.(ph.stage) ~pid:ph.pid ~init:hist;
+          ph.h <- U.handle (stage ph.t ph.stage) ~pid:ph.pid ~init:hist;
           invoke ph req
         end
 
@@ -50,6 +77,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     type ('q, 'i, 'r) obj = { spec : ('q, 'i, 'r) Spec.t; chain : 'i t }
 
     let create spec chain = { spec; chain }
+    let forget_fallbacks (o : (_, _, _) obj) = forget_fallbacks o.chain
 
     (* The response cache: [state] is the spec state after the first
        [applied] entries of stage [stage]'s commit log, [responses] those

@@ -29,7 +29,19 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     'i t
   (** One universal-construction instance per stage; [stages] gives each
       instance's consensus factory (e.g. SplitConsensus, then Bakery, then
-      CAS). *)
+      CAS). Only stage 0 is built here. Stage [i >= 1] is built whole,
+      every slot at once, when the first process switches into it, so a
+      run that never aborts pays for stage 0 alone. The new stage is
+      published by a compare-and-set on an OCaml [Atomic] cell: a
+      host-level operation, not a simulated step. Domains racing to
+      build it agree on one copy, and the loser drops its own. A
+      fallback stage's objects therefore appear in the simulator mid-run,
+      at the first switch into it. *)
+
+  val forget_fallbacks : 'i t -> unit
+  (** Drop every built fallback stage, so the next switch builds it
+      afresh. For a harness that rewinds the simulator with [Sim.reset],
+      which drops the objects those stages allocated. *)
 
   type 'i phandle
 
@@ -51,6 +63,7 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     type ('q, 'i, 'r) obj
 
     val create : ('q, 'i, 'r) Spec.t -> 'i t -> ('q, 'i, 'r) obj
+    val forget_fallbacks : ('q, 'i, 'r) obj -> unit
 
     type ('q, 'i, 'r) handle
     (** A process's {!phandle} plus its response cache: the spec state

@@ -56,17 +56,18 @@ let shard_buckets = 4
 let install_shard ~backend ~obs ~n sim =
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
   let module S = Scs_shard.Service.Make (P) in
+  let keys = 2 * shard_shards in
   let svc =
     S.create ~name:"svc" ~n ~shards:shard_shards ~buckets:shard_buckets
       ~capacity:(max 64 (8 * n)) ()
   in
   let handles = Array.init n (fun pid -> S.handle svc ~pid) in
   let rt = S.router svc in
-  let keys = 2 * shard_shards in
-  (* per-pid handles cache local log cursors into the UC histories, so a
-     [Sim.reset] rewind of the shard objects makes them stale: the rearm
-     hook rebuilds them before every pooled run *)
+  (* [Sim.reset] rewinds stage 0 but drops the fallback stages' objects,
+     and per-pid handles cache log cursors: the rearm hook forgets the
+     built fallback stages and rebuilds the handles before every run *)
   let rearm () =
+    S.forget_fallbacks svc;
     for pid = 0 to n - 1 do
       handles.(pid) <- S.handle svc ~pid
     done
@@ -135,9 +136,10 @@ let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
    [Cons_run.run] drivers but without their tracing scaffolding: the
    batch aggregate only reads the sink. All algorithm state lives in
    simulator objects, so [Sim.reset] rewinds a finished (or livelocked)
-   run back to this installed state. Returns the per-run rearm hook,
-   fed the run's derived rng for targets whose operations consume
-   randomness. *)
+   run back to this installed state; the sharded target's UCs also keep
+   host-level cells for their fallback stages, which its rearm hook
+   clears. Returns the per-run rearm hook, fed the run's derived rng
+   for targets whose operations consume randomness. *)
 let install ~backend ~obs ~target ~n sim =
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
   match target with
@@ -247,7 +249,7 @@ let arm_run ~target ~rearm rng =
       Rng.split rng2
 
 (* One domain's share of a batch: a single simulator installed once and
-   rewound with [Sim.reset] per run. *)
+   rewound with [Sim.reset] per run, before the run's rearm hook. *)
 let run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
   let sim = Sim.create ~obs ~n () in
   let rearm = install ~backend ~obs ~target ~n sim in
@@ -255,8 +257,8 @@ let run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
   for i = 1 to runs do
     let rng = Rng.split prng in
     let crashes = gen_crashes rng ~n ~crash_prob in
-    let pol_rng = arm_run ~target ~rearm rng in
     if i > 1 then Sim.reset sim;
+    let pol_rng = arm_run ~target ~rearm rng in
     (* consensus targets draw crashes but never inject them *)
     let crashes = match target with Cons _ -> [] | _ -> crashes in
     try Sim.run ~crashes sim (policy pol_rng) with Sim.Livelock _ -> ()

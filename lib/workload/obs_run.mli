@@ -63,8 +63,8 @@ val measure :
     crashes each pid with that probability after 1–15 steps, as the
     fuzzer's crash portfolio does. Raises [Invalid_argument] if the
     batch completes zero operations. The batch runs on one simulator
-    per domain, installed once and rewound with [Sim.reset] between
-    runs.
+    per domain, installed once and rewound with [Sim.reset] before each
+    run after the first, ahead of the run's rearm hook.
 
     [gen_domains] (default 1) splits the batch across that many OCaml
     domains, each with its own pooled simulator and private sink,
@@ -92,8 +92,11 @@ val install :
 (** [install ~backend ~obs ~target ~n sim] allocates the target's shared
     objects on [sim] (whose sink must be [obs]) and spawns one
     bracketed operation script per pid. Returns the rearm hook, which
-    must be applied (through {!arm_run}) before each run: it rebuilds
-    per-pid state that {!Sim.reset} does not rewind. *)
+    must be applied (through {!arm_run}) before each run, after any
+    {!Sim.reset}: it rebuilds per-pid state that {!Sim.reset} does not
+    rewind. The [sharded] target's hook also makes its UCs forget the
+    fallback stages built in the last run, whose objects the reset
+    dropped. *)
 
 val arm_run :
   target:target -> rearm:(Scs_util.Rng.t -> unit) -> Scs_util.Rng.t -> Scs_util.Rng.t

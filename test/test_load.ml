@@ -154,8 +154,9 @@ let test_to_record () =
       Scs_obs.Trajectory.save file
         { Scs_obs.Trajectory.run = "test"; seed = 0; records = [ rec_ ] };
       match Scs_obs.Trajectory.load file with
-      | Ok t ->
+      | Ok (Scs_obs.Trajectory.Trajectory t) ->
           Alcotest.(check int) "one record" 1 (List.length t.Scs_obs.Trajectory.records)
+      | Ok (Scs_obs.Trajectory.Suite_pair _) -> Alcotest.fail "read back as a suite pair"
       | Error e -> Alcotest.failf "native record failed validation: %s" e)
 
 let tests =

@@ -102,6 +102,33 @@ let test_counters_and_objects () =
       Alcotest.(check int) "its rmws" 2 rmws
   | [] -> Alcotest.fail "object census empty"
 
+(* An object allocated mid-run takes the simulator id that a differently
+   named object had in the previous pooled run. The census keeps each
+   one's steps under its own name, in the sink and through a merge. *)
+let test_census_id_reuse () =
+  let obs = Obs.create ~n:1 () in
+  let sim = Sim.create ~obs ~n:1 () in
+  let run = ref 0 in
+  Sim.spawn sim 0 (fun () ->
+      let r = Sim.reg sim ~name:(if !run = 0 then "first" else "second") 0 in
+      for _ = 0 to !run do
+        ignore (Sim.read r)
+      done);
+  Sim.snapshot sim;
+  Sim.run sim (Policy.solo 0);
+  incr run;
+  Sim.reset sim;
+  Sim.run sim (Policy.solo 0);
+  let census = Alcotest.(list (triple string int int)) in
+  Alcotest.(check census) "each name keeps its steps" [ ("second", 2, 0); ("first", 1, 0) ]
+    (Obs.objects obs);
+  let merged = Obs.create ~n:1 () in
+  step merged ~pid:0 ~name:"second" ();
+  Obs.merge_into ~into:merged obs;
+  Obs.merge_into ~into:merged obs;
+  Alcotest.(check census) "merged by name" [ ("second", 5, 0); ("first", 2, 0) ]
+    (Obs.objects merged)
+
 let test_crash_closes_bracket_aborted () =
   let obs = Obs.create ~n:2 () in
   Obs.op_begin obs ~pid:0 ~obj:0 ~label:"doomed";
@@ -353,7 +380,8 @@ let test_trajectory_roundtrip () =
     (fun () ->
       Trajectory.save file t;
       match Trajectory.load file with
-      | Ok t' -> Alcotest.(check bool) "file round-trip" true (t = t')
+      | Ok (Trajectory.Trajectory t') -> Alcotest.(check bool) "file round-trip" true (t = t')
+      | Ok (Trajectory.Suite_pair _) -> Alcotest.fail "read back as a suite pair"
       | Error e -> Alcotest.failf "load failed: %s" e)
 
 let test_trajectory_validation_errors () =
@@ -378,8 +406,56 @@ let test_trajectory_validation_errors () =
     Trajectory.validate
       {|{"schema":"scs.bench.trajectory/1","run":"x","seed":1,"records":[]}|}
   with
-  | Ok t -> Alcotest.(check int) "empty records ok" 0 (List.length t.Trajectory.records)
+  | Ok (Trajectory.Trajectory t) ->
+      Alcotest.(check int) "empty records ok" 0 (List.length t.Trajectory.records)
+  | Ok (Trajectory.Suite_pair _) -> Alcotest.fail "read back as a suite pair"
   | Error e -> Alcotest.failf "rejected valid input: %s" e
+
+(* Suite pairs: a round-trip through [validate], and the rejections
+   that keep a committed claim comparable. *)
+let test_suite_pair_validation () =
+  let suite ?(workloads = [ "uc-solo" ]) ?(median = Json.Float 2.0) () =
+    Json.Obj
+      [
+        ("host_cores", Json.Int 2);
+        ("ocaml", Json.String "5.1.1");
+        ( "workloads",
+          Json.Obj
+            (List.map
+               (fun w ->
+                 let ops = Json.Obj [ ("median", median) ] in
+                 (w, Json.Obj [ ("end_to_end", Json.Obj [ ("ops_per_s", ops) ]) ]))
+               workloads) );
+      ]
+  in
+  let pair ?(change = suite ()) ?(trees = [ ("lib", "b0") ]) () =
+    {
+      Trajectory.label = "test";
+      parent = { Trajectory.revision = "a"; trees = [ ("lib", "a0") ]; suite = suite () };
+      change = { Trajectory.revision = "b-dirty"; trees; suite = change };
+      pairs =
+        [
+          {
+            Trajectory.p_workload = "uc-solo";
+            p_metric = "ops_per_s";
+            p_parent = 1.0;
+            p_change = 2.0;
+          };
+        ];
+    }
+  in
+  let validate p = Trajectory.validate (Json.to_string (Trajectory.suite_pair_to_json p)) in
+  (match validate (pair ()) with
+  | Ok (Trajectory.Suite_pair p) -> Alcotest.(check bool) "round-trip" true (p = pair ())
+  | Ok (Trajectory.Trajectory _) -> Alcotest.fail "read back as a trajectory"
+  | Error e -> Alcotest.failf "rejected a valid pair: %s" e);
+  let reject label p =
+    match validate p with Ok _ -> Alcotest.failf "%s: accepted" label | Error _ -> ()
+  in
+  reject "different workloads" (pair ~change:(suite ~workloads:[ "kv-s1" ] ()) ());
+  reject "no workloads" (pair ~change:(suite ~workloads:[] ()) ());
+  reject "no source trees" (pair ~trees:[] ());
+  reject "median not a number" (pair ~change:(suite ~median:(Json.String "x") ()) ())
 
 let test_json_parser () =
   let roundtrip v =
@@ -415,6 +491,7 @@ let tests =
       test_known_answer_interval_contention;
     Alcotest.test_case "implicit close on re-begin" `Quick test_implicit_close;
     Alcotest.test_case "counters and object census" `Quick test_counters_and_objects;
+    Alcotest.test_case "census keeps reused ids apart by name" `Quick test_census_id_reuse;
     Alcotest.test_case "crash closes bracket as aborted" `Quick
       test_crash_closes_bracket_aborted;
     Alcotest.test_case "ring buffer evicts oldest" `Quick test_ring_eviction;
@@ -430,5 +507,6 @@ let tests =
     Alcotest.test_case "trajectory round-trip" `Quick test_trajectory_roundtrip;
     Alcotest.test_case "trajectory validation errors" `Quick
       test_trajectory_validation_errors;
+    Alcotest.test_case "suite pair validation" `Quick test_suite_pair_validation;
     Alcotest.test_case "json parser round-trip and errors" `Quick test_json_parser;
   ]

@@ -404,9 +404,10 @@ let prop_typed_matches_replay =
       ok)
 
 (* The per-slot object names, as recorded before they were built by
-   string concatenation instead of [Printf.sprintf]: every memory event
-   of a solo run in full, and the digest plus the distinct names of a
-   round-robin run that reaches every stage. *)
+   string concatenation instead of [Printf.sprintf] and before fallback
+   stages were built on first use: every memory event of a solo run in
+   full, and the digest plus the distinct names of round-robin runs that
+   reach every stage. *)
 let names_of sim = List.map (fun e -> e.Mem_event.obj_name) (Sim.trace sim)
 
 let uc_event_names policy procs =
@@ -461,6 +462,25 @@ let chain_event_names ?(recoverable = false) policy procs =
   Sim.run sim policy;
   names_of sim
 
+(* A 2-shard service at n = 2 under round-robin: each pid writes three
+   keys and reads a fourth across both shards, and both shards' UCs
+   reach every stage. *)
+let service_event_names () =
+  let sim = Sim.create ~n:2 () in
+  Sim.set_trace sim true;
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module S = Scs_shard.Service.Make (P) in
+  let svc = S.create ~name:"svc" ~n:2 ~shards:2 ~buckets:4 ~capacity:32 () in
+  for pid = 0 to 1 do
+    Sim.spawn sim pid (fun () ->
+        let h = S.handle svc ~pid in
+        List.iter
+          (fun req -> ignore (S.apply h req))
+          Scs_shard.Kv.[ Put (0, 10 + pid); Put (1, 20 + pid); Put (2, 30 + pid); Get 3 ])
+  done;
+  Sim.run sim (Policy.round_robin ());
+  names_of sim
+
 let test_object_names_pinned () =
   let check_all what expected names =
     Alcotest.(check string) what expected (String.concat " " names)
@@ -498,6 +518,35 @@ let test_object_names_pinned () =
      uc.stage2.C[0] uc.stage2.C[1] uc.stage2.Reqs.snap[0] uc.stage2.Reqs.snap[1] \
      uc.stage2.cons0.CAS uc.stage2.cons1.CAS"
     (uc_event_names (Policy.round_robin ()) [ 0; 1 ]);
+  check_digest "service round-robin" "4375c4e7c136239bae31fc807845de9b"
+    "svc.route[0] svc.route[1] svc.route[2] svc.shard[0].stage0.Aborted \
+     svc.shard[0].stage0.C[0] svc.shard[0].stage0.C[1] svc.shard[0].stage0.Reqs.snap[0] \
+     svc.shard[0].stage0.Reqs.snap[1] svc.shard[0].stage0.cons0.split[0].C \
+     svc.shard[0].stage0.cons0.split[0].S.X svc.shard[0].stage0.cons0.split[0].S.Y \
+     svc.shard[0].stage0.cons0.split[0].V svc.shard[0].stage1.Aborted \
+     svc.shard[0].stage1.C[0] svc.shard[0].stage1.C[1] svc.shard[0].stage1.Reqs.snap[0] \
+     svc.shard[0].stage1.Reqs.snap[1] svc.shard[0].stage1.cons0.bakery[0].A[0] \
+     svc.shard[0].stage1.cons0.bakery[0].A[1] svc.shard[0].stage1.cons0.bakery[0].B[0] \
+     svc.shard[0].stage1.cons0.bakery[0].B[1] svc.shard[0].stage1.cons0.bakery[0].Dec \
+     svc.shard[0].stage1.cons0.bakery[0].Quit svc.shard[0].stage2.Aborted \
+     svc.shard[0].stage2.C[0] svc.shard[0].stage2.C[1] svc.shard[0].stage2.Reqs.snap[0] \
+     svc.shard[0].stage2.Reqs.snap[1] svc.shard[0].stage2.cons0.cas[0].CAS \
+     svc.shard[0].stage2.cons1.cas[1].CAS svc.shard[0].stage2.cons2.cas[2].CAS \
+     svc.shard[0].stage2.cons3.cas[3].CAS svc.shard[0].stage2.cons4.cas[4].CAS \
+     svc.shard[0].stage2.cons5.cas[5].CAS svc.shard[1].stage0.Aborted \
+     svc.shard[1].stage0.C[0] svc.shard[1].stage0.C[1] svc.shard[1].stage0.Reqs.snap[0] \
+     svc.shard[1].stage0.Reqs.snap[1] svc.shard[1].stage0.cons0.split[0].C \
+     svc.shard[1].stage0.cons0.split[0].S.X svc.shard[1].stage0.cons0.split[0].S.Y \
+     svc.shard[1].stage0.cons0.split[0].V svc.shard[1].stage1.Aborted \
+     svc.shard[1].stage1.C[0] svc.shard[1].stage1.C[1] svc.shard[1].stage1.Reqs.snap[0] \
+     svc.shard[1].stage1.Reqs.snap[1] svc.shard[1].stage1.cons0.bakery[0].A[0] \
+     svc.shard[1].stage1.cons0.bakery[0].A[1] svc.shard[1].stage1.cons0.bakery[0].B[0] \
+     svc.shard[1].stage1.cons0.bakery[0].B[1] svc.shard[1].stage1.cons0.bakery[0].Dec \
+     svc.shard[1].stage1.cons0.bakery[0].Quit svc.shard[1].stage1.cons1.bakery[1].A[0] \
+     svc.shard[1].stage1.cons1.bakery[1].A[1] svc.shard[1].stage1.cons1.bakery[1].B[0] \
+     svc.shard[1].stage1.cons1.bakery[1].B[1] svc.shard[1].stage1.cons1.bakery[1].Dec \
+     svc.shard[1].stage1.cons1.bakery[1].Quit"
+    (service_event_names ());
   check_digest "chain round-robin" "5dd69bb33e47a77811bdab1b7de1b76a"
     "ch.bakery.A[0] ch.bakery.A[1] ch.bakery.B[0] ch.bakery.B[1] ch.bakery.Dec \
      ch.bakery.Quit ch.cas.CAS ch.moved[0] ch.moved[1] ch.moved[2] ch.split.C ch.split.S.X \
@@ -509,6 +558,117 @@ let test_object_names_pinned () =
      ch.moved[0] ch.moved[1] ch.moved[2] ch.split.C ch.split.Ph[0] ch.split.Ph[1] ch.split.V \
      ch.split.X ch.split.Y"
     (chain_event_names ~recoverable:true (Policy.round_robin ()) [ 0; 1 ])
+
+(* ---- fallback stages built on first switch ----------------------------- *)
+
+(* A UC over the first [stages] of split > bakery > cas on [sim]; each of
+   [procs] commits [ops] fetch&incs. *)
+let spawn_uc sim ~stages ~ops procs =
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let module AB = Scs_consensus.Abortable_bakery.Make (P) in
+  let module CC = Scs_consensus.Cas_consensus.Make (P) in
+  let factories =
+    [
+      (fun ~name ~slot:_ -> SC.instance (SC.create ~name ()));
+      (fun ~name ~slot:_ -> AB.instance (AB.create ~name ~n:2 ()));
+      (fun ~name ~slot:_ -> CC.instance (CC.create ~name ()));
+    ]
+  in
+  let uc =
+    UO.create ~name:"uc" ~n:2 ~max_requests:16
+      ~stages:(List.filteri (fun i _ -> i < stages) factories)
+      ()
+  in
+  List.iter
+    (fun pid ->
+      Sim.spawn sim pid (fun () ->
+          let ph = UO.phandle uc ~pid in
+          for k = 1 to ops do
+            ignore (UO.invoke ph (Request.make ((2 * k) + pid) Objects.Fai_inc))
+          done))
+    procs
+
+let on_stage k (e : Mem_event.t) =
+  String.starts_with ~prefix:("uc.stage" ^ string_of_int k ^ ".") e.Mem_event.obj_name
+
+let test_fallback_stages_lazy () =
+  let stage0_only = Sim.create ~n:2 () in
+  spawn_uc stage0_only ~stages:1 ~ops:3 [ 0 ];
+  let solo = Sim.create ~n:2 () in
+  Sim.set_trace solo true;
+  spawn_uc solo ~stages:3 ~ops:3 [ 0 ];
+  Sim.run solo (Policy.solo 0);
+  Alcotest.(check int)
+    "a solo run allocates stage 0's objects only"
+    (Sim.objects_allocated stage0_only) (Sim.objects_allocated solo);
+  Alcotest.(check bool) "every solo event is on stage 0" true
+    (List.for_all (on_stage 0) (Sim.trace solo));
+  let rr = Sim.create ~n:2 () in
+  Sim.set_trace rr true;
+  spawn_uc rr ~stages:3 ~ops:2 [ 0; 1 ];
+  Sim.run rr (Policy.round_robin ());
+  let events = Sim.trace_arr rr in
+  let first p = Array.find_index p events in
+  for k = 1 to 2 do
+    let aborted = "uc.stage" ^ string_of_int (k - 1) ^ ".Aborted" in
+    let set_aborted e = e.Mem_event.kind = Op.Write && e.obj_name = aborted in
+    match (first (on_stage k), first set_aborted) with
+    | Some used, Some set ->
+        if used < set then
+          Alcotest.failf "stage %d used at event %d, before %s is set at %d" k used aborted set
+    | None, _ -> Alcotest.failf "the round-robin run never reaches stage %d" k
+    | Some used, None ->
+        Alcotest.failf "stage %d used at event %d, but %s is never set" k used aborted
+  done
+
+(* Two domains race into a fresh stage 1 once per object: the stage-0
+   factory always aborts, so both switch at once. Had each built its own
+   stage 1, each would commit its request alone and the two histories
+   would not be prefix-related. *)
+let test_fallback_stage_native_race () =
+  let module P = Scs_prims.Native_prims in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module CC = Scs_consensus.Cas_consensus.Make (P) in
+  let objects = 1_000 in
+  let stages =
+    [
+      (fun ~name:_ ~slot:_ ->
+        Scs_consensus.Consensus_intf.wrap ~name:"abort" (fun ~pid:_ _ ->
+            Scs_composable.Outcome.Abort None));
+      (fun ~name ~slot:_ -> CC.instance (CC.create ~name ()));
+    ]
+  in
+  let ucs =
+    Array.init objects (fun i ->
+        UO.create ~name:("race" ^ string_of_int i) ~n:2 ~max_requests:4 ~stages ())
+  in
+  let arrived = Atomic.make 0 in
+  let play pid () =
+    Array.mapi
+      (fun i uc ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 * (i + 1) do
+          Domain.cpu_relax ()
+        done;
+        List.map Request.id (UO.invoke (UO.phandle uc ~pid) (Request.make pid Objects.Fai_inc)))
+      ucs
+  in
+  let other = Domain.spawn (play 1) in
+  let mine = play 0 () in
+  let theirs = Domain.join other in
+  let rec prefix a b =
+    match (a, b) with [], _ -> true | x :: a, y :: b -> x = y && prefix a b | _ :: _, [] -> false
+  in
+  Array.iteri
+    (fun i h0 ->
+      let h1 = theirs.(i) in
+      if not (prefix h0 h1 || prefix h1 h0) then
+        Alcotest.failf "object %d: histories [%s] and [%s] are not prefix-related" i
+          (String.concat ";" (List.map string_of_int h0))
+          (String.concat ";" (List.map string_of_int h1)))
+    mine
 
 let tests =
   [
@@ -527,6 +687,10 @@ let tests =
     Alcotest.test_case "uc: typed queue linearizable" `Quick test_typed_queue_linearizable;
     Alcotest.test_case "uc: typed queue sequential" `Quick test_typed_queue_sequential_fifo;
     Alcotest.test_case "uc: object names pinned" `Quick test_object_names_pinned;
+    Alcotest.test_case "uc: fallback stages cost nothing until a switch" `Quick
+      test_fallback_stages_lazy;
+    Alcotest.test_case "uc: racing switches share one fallback stage" `Quick
+      test_fallback_stage_native_race;
   ]
 
 (* Run by CI under several SCS_QCHECK_SEED values. *)
