@@ -49,7 +49,9 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       state = P.reg ~name:(name ^ ".state") { value = spec.Spec.init; applied = [] };
       splitter = Sp.create ~name:(name ^ ".split") ();
       aborted = P.reg ~name:(name ^ ".aborted") false;
-      uc = U.create ~name:(name ^ ".uc") ~n ~max_requests ~make_cons ();
+      uc =
+        (let cons = Array.init max_requests (fun slot -> make_cons ~slot) in
+         U.create ~name:(name ^ ".uc") ~n ~max_requests ~cons:(fun ~slot -> cons.(slot)) ());
       gen = Request.Gen.create ();
     }
 

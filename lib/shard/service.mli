@@ -64,8 +64,8 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   val shards : t -> int
   val buckets : t -> int
 
-  val forget_fallbacks : t -> unit
-  (** [Uc_object]'s [forget_fallbacks] on every shard. *)
+  val forget_built : t -> unit
+  (** [Uc_object]'s [forget_built] on every shard. *)
 
   type h
 

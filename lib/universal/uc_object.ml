@@ -6,32 +6,62 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
 
   type 'i factory = name:string -> slot:int -> 'i Request.t CI.t
 
+  (* Build-once cells: the first lookup builds [build x] and publishes
+     it by a compare-and-set on a host-level cell, so processes racing
+     to build it agree on one copy and the loser drops its own
+     (DESIGN.md §4). *)
+  let once cell build x =
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        ignore (Atomic.compare_and_set cell None (Some (build x)));
+        Option.get (Atomic.get cell)
+
+  (* A stage's slots come in doubling chunks: chunk 0 holds slots 0-7,
+     chunk c >= 1 slots [8(2^c - 1), 8(2^(c+1) - 1)), cut at
+     [max_requests]. Chunk 0 is built with the stage, every later chunk
+     on the first lookup into it. *)
+  let chunk0 = 8
+  let chunk_start c = chunk0 * ((1 lsl c) - 1)
+  let rec chunk_of slot c = if slot < chunk_start (c + 1) then c else chunk_of slot (c + 1)
+
+  type 'i chunks = 'i Request.t CI.t array option Atomic.t array
+
   (* Stage 0 is built by [create], stage i >= 1 on the first switch
-     into it, published by a compare-and-set on a host-level cell so
-     processes racing to build it agree on one copy (DESIGN.md §4). *)
+     into it. *)
   type 'i t = {
     name : string;
     n : int;
     max_requests : int;
     stages : 'i factory array;
-    ucs : 'i U.t option Atomic.t array;
+    ucs : ('i U.t * 'i chunks) option Atomic.t array;
   }
 
   let build t i =
     let uname = t.name ^ ".stage" ^ string_of_int i in
     let prefix = uname ^ ".cons" in
     let make = t.stages.(i) in
-    U.create ~name:uname ~n:t.n ~max_requests:t.max_requests
-      ~make_cons:(fun ~slot -> make ~name:(prefix ^ string_of_int slot) ~slot)
-      ()
+    let chunks =
+      Array.init (chunk_of (max 0 (t.max_requests - 1)) 0 + 1) (fun _ -> Atomic.make None)
+    in
+    let build_chunk c =
+      let lo = chunk_start c in
+      Array.init
+        (min t.max_requests (chunk_start (c + 1)) - lo)
+        (fun k ->
+          let slot = lo + k in
+          make ~name:(prefix ^ string_of_int slot) ~slot)
+    in
+    let chunk c = once chunks.(c) build_chunk c in
+    let cons ~slot =
+      let c = chunk_of slot 0 in
+      (chunk c).(slot - chunk_start c)
+    in
+    let u = U.create ~name:uname ~n:t.n ~max_requests:t.max_requests ~cons () in
+    ignore (chunk 0);
+    (u, chunks)
 
-  let stage t i =
-    let cell = t.ucs.(i) in
-    match Atomic.get cell with
-    | Some u -> u
-    | None ->
-        ignore (Atomic.compare_and_set cell None (Some (build t i)));
-        Option.get (Atomic.get cell)
+  let stage t i = fst (once t.ucs.(i) (build t) i)
 
   let create ~name ~n ~max_requests ~stages () =
     let stages = Array.of_list stages in
@@ -42,7 +72,11 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     ignore (stage t 0);
     t
 
-  let forget_fallbacks t =
+  let forget_built t =
+    let _, chunks = Option.get (Atomic.get t.ucs.(0)) in
+    for c = 1 to Array.length chunks - 1 do
+      Atomic.set chunks.(c) None
+    done;
     for i = 1 to Array.length t.ucs - 1 do
       Atomic.set t.ucs.(i) None
     done
@@ -77,7 +111,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     type ('q, 'i, 'r) obj = { spec : ('q, 'i, 'r) Spec.t; chain : 'i t }
 
     let create spec chain = { spec; chain }
-    let forget_fallbacks (o : (_, _, _) obj) = forget_fallbacks o.chain
+    let forget_built (o : (_, _, _) obj) = forget_built o.chain
 
     (* The response cache: [state] is the spec state after the first
        [applied] entries of stage [stage]'s commit log, [responses] those

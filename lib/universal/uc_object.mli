@@ -29,19 +29,26 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     'i t
   (** One universal-construction instance per stage; [stages] gives each
       instance's consensus factory (e.g. SplitConsensus, then Bakery, then
-      CAS). Only stage 0 is built here. Stage [i >= 1] is built whole,
-      every slot at once, when the first process switches into it, so a
-      run that never aborts pays for stage 0 alone. The new stage is
+      CAS). Only stage 0 is built here. Stage [i >= 1] is built when the
+      first process switches into it, so a run that never aborts pays for
+      stage 0 alone. Within a stage, slots are built in doubling chunks:
+      chunk 0 (slots 0–7) together with the stage, chunk [c >= 1] (slots
+      [8(2^c - 1)] to [8(2^(c+1) - 1) - 1], cut at [max_requests]) on the
+      first lookup of one of its slots. A built stage or chunk is
       published by a compare-and-set on an OCaml [Atomic] cell: a
-      host-level operation, not a simulated step. Domains racing to
-      build it agree on one copy, and the loser drops its own. A
-      fallback stage's objects therefore appear in the simulator mid-run,
-      at the first switch into it. *)
+      host-level operation, not a simulated step. Domains racing to build
+      it agree on one copy, and the loser drops its own. Objects of a
+      fallback stage or of a chunk past the first therefore appear in the
+      simulator mid-run, at the first switch into the stage or the first
+      proposal to the chunk; since [Explore]'s partial-order reduction
+      rejects objects allocated mid-run, POR exploration of a UC ends at
+      slot 8. *)
 
-  val forget_fallbacks : 'i t -> unit
-  (** Drop every built fallback stage, so the next switch builds it
-      afresh. For a harness that rewinds the simulator with [Sim.reset],
-      which drops the objects those stages allocated. *)
+  val forget_built : 'i t -> unit
+  (** Drop every lazily built part: the fallback stages and stage 0's
+      chunks past the first, so the next use builds them afresh. For a
+      harness that rewinds the simulator with [Sim.reset], which drops
+      the objects those parts allocated. *)
 
   type 'i phandle
 
@@ -63,7 +70,7 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     type ('q, 'i, 'r) obj
 
     val create : ('q, 'i, 'r) Spec.t -> 'i t -> ('q, 'i, 'r) obj
-    val forget_fallbacks : ('q, 'i, 'r) obj -> unit
+    val forget_built : ('q, 'i, 'r) obj -> unit
 
     type ('q, 'i, 'r) handle
     (** A process's {!phandle} plus its response cache: the spec state

@@ -12,7 +12,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
   type 'i t = {
     n : int;
     max_requests : int;
-    cons : 'i Request.t Consensus_intf.t array;
+    cons : slot:int -> 'i Request.t Consensus_intf.t;
     aborted : bool P.reg;
     reqs : 'i Request.t list Snap.t;
     c : int P.reg array;  (** C_i: slots process i has seen decided *)
@@ -28,11 +28,11 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     mutable dead : 'i History.t option;  (** abort history once aborted *)
   }
 
-  let create ~name ~n ~max_requests ~make_cons () =
+  let create ~name ~n ~max_requests ~cons () =
     {
       n;
       max_requests;
-      cons = Array.init max_requests (fun slot -> make_cons ~slot);
+      cons;
       aborted = P.reg ~name:(name ^ ".Aborted") false;
       reqs = Snap.create ~name:(name ^ ".Reqs") ~n ~init:[];
       c = Array.init n (fun i -> P.reg ~name:(name ^ ".C[" ^ string_of_int i ^ "]") 0);
@@ -69,7 +69,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     let count = read_count h in
     let hist = ref [] in
     for k = count - 1 downto 0 do
-      match Consensus_intf.probe h.t.cons.(k) ~pid:h.pid with
+      match Consensus_intf.probe (h.t.cons ~slot:k) ~pid:h.pid with
       | Some req -> hist := req :: !hist
       | None -> ()
     done;
@@ -139,7 +139,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
                 else None
               in
               let proposal = choose_proposal h ~slot:k req in
-              match h.t.cons.(k).Consensus_intf.run ~pid:h.pid ~old proposal with
+              match (h.t.cons ~slot:k).Consensus_intf.run ~pid:h.pid ~old proposal with
               | Outcome.Abort _ -> recover_and_abort h req
               | Outcome.Commit None ->
                   (* Unreachable: the wrapper's second phase proposes a

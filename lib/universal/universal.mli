@@ -40,12 +40,17 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     name:string ->
     n:int ->
     max_requests:int ->
-    make_cons:(slot:int -> 'i Request.t Scs_consensus.Consensus_intf.t) ->
+    cons:(slot:int -> 'i Request.t Scs_consensus.Consensus_intf.t) ->
     unit ->
     'i t
-  (** One consensus instance per slot, built by [make_cons] (e.g. all
-      SplitConsensus, all AbortableBakery, or all CAS for the wait-free
-      closing stage). *)
+  (** One consensus instance per slot [0 .. max_requests-1], found
+      through the lookup [cons] (e.g. all SplitConsensus, all
+      AbortableBakery, or all CAS for the wait-free closing stage).
+      [cons ~slot] is called on every proposal to and every recovery
+      probe of the slot, and takes no simulated step itself. Contract:
+      it returns the same instance for a slot for the whole life of the
+      construction, so whoever builds a slot's instance, up front or on
+      first lookup, must publish exactly one. *)
 
   val handle : 'i t -> pid:int -> init:'i History.t -> 'i handle
   (** A process's view of the instance. [init] is the history inherited

@@ -63,11 +63,12 @@ let install_shard ~backend ~obs ~n sim =
   in
   let handles = Array.init n (fun pid -> S.handle svc ~pid) in
   let rt = S.router svc in
-  (* [Sim.reset] rewinds stage 0 but drops the fallback stages' objects,
-     and per-pid handles cache log cursors: the rearm hook forgets the
-     built fallback stages and rebuilds the handles before every run *)
+  (* [Sim.reset] rewinds what the service built up front but drops the
+     objects of every lazily built fallback stage and slot chunk, and
+     per-pid handles cache log cursors: the rearm hook forgets the lazily
+     built parts and rebuilds the handles before every run *)
   let rearm () =
-    S.forget_fallbacks svc;
+    S.forget_built svc;
     for pid = 0 to n - 1 do
       handles.(pid) <- S.handle svc ~pid
     done

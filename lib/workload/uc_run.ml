@@ -41,7 +41,8 @@ let run ?(seed = 42) ?max_requests ?(crashes = []) ~n ~ops_per_proc ~stages ~pol
           let module CC = Cas_consensus.Make (P) in
           CC.instance (CC.create ~name:cname ())
     in
-    U.create ~name:sname ~n ~max_requests ~make_cons ()
+    let cons = Array.init max_requests (fun slot -> make_cons ~slot) in
+    U.create ~name:sname ~n ~max_requests ~cons:(fun ~slot -> cons.(slot)) ()
   in
   let ucs =
     Array.of_list

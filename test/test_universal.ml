@@ -563,7 +563,7 @@ let test_object_names_pinned () =
 
 (* A UC over the first [stages] of split > bakery > cas on [sim]; each of
    [procs] commits [ops] fetch&incs. *)
-let spawn_uc sim ~stages ~ops procs =
+let spawn_uc ?(max_requests = 16) sim ~stages ~ops procs =
   let module P = (val Scs_prims.Sim_prims.make sim) in
   let module UO = Scs_universal.Uc_object.Make (P) in
   let module SC = Scs_consensus.Split_consensus.Make (P) in
@@ -577,7 +577,7 @@ let spawn_uc sim ~stages ~ops procs =
     ]
   in
   let uc =
-    UO.create ~name:"uc" ~n:2 ~max_requests:16
+    UO.create ~name:"uc" ~n:2 ~max_requests
       ~stages:(List.filteri (fun i _ -> i < stages) factories)
       ()
   in
@@ -623,26 +623,19 @@ let test_fallback_stages_lazy () =
         Alcotest.failf "stage %d used at event %d, but %s is never set" k used aborted
   done
 
-(* Two domains race into a fresh stage 1 once per object: the stage-0
-   factory always aborts, so both switch at once. Had each built its own
-   stage 1, each would commit its request alone and the two histories
-   would not be prefix-related. *)
-let test_fallback_stage_native_race () =
-  let module P = Scs_prims.Native_prims in
-  let module UO = Scs_universal.Uc_object.Make (P) in
-  let module CC = Scs_consensus.Cas_consensus.Make (P) in
-  let objects = 1_000 in
-  let stages =
-    [
-      (fun ~name:_ ~slot:_ ->
-        Scs_consensus.Consensus_intf.wrap ~name:"abort" (fun ~pid:_ _ ->
-            Scs_composable.Outcome.Abort None));
-      (fun ~name ~slot:_ -> CC.instance (CC.create ~name ()));
-    ]
-  in
+(* Two domains meet at a barrier before each of [objects] fresh UCs
+   (stage factories [stages], room for [max_requests]) and then each
+   commit [ops] fetch&incs on it. For every object the two last commit
+   histories must be prefix-related: they would not be if the domains
+   had built separate copies of a stage or a chunk, since each would then
+   decide that copy's slots alone. *)
+module NUO = Scs_universal.Uc_object.Make (Scs_prims.Native_prims)
+module NCC = Scs_consensus.Cas_consensus.Make (Scs_prims.Native_prims)
+
+let native_race ~objects ~max_requests ~ops stages =
   let ucs =
     Array.init objects (fun i ->
-        UO.create ~name:("race" ^ string_of_int i) ~n:2 ~max_requests:4 ~stages ())
+        NUO.create ~name:("race" ^ string_of_int i) ~n:2 ~max_requests ~stages ())
   in
   let arrived = Atomic.make 0 in
   let play pid () =
@@ -652,7 +645,12 @@ let test_fallback_stage_native_race () =
         while Atomic.get arrived < 2 * (i + 1) do
           Domain.cpu_relax ()
         done;
-        List.map Request.id (UO.invoke (UO.phandle uc ~pid) (Request.make pid Objects.Fai_inc)))
+        let ph = NUO.phandle uc ~pid in
+        let last = ref [] in
+        for k = 1 to ops do
+          last := NUO.invoke ph (Request.make ((2 * k) + pid) Objects.Fai_inc)
+        done;
+        List.map Request.id !last)
       ucs
   in
   let other = Domain.spawn (play 1) in
@@ -669,6 +667,94 @@ let test_fallback_stage_native_race () =
           (String.concat ";" (List.map string_of_int h0))
           (String.concat ";" (List.map string_of_int h1)))
     mine
+
+let cas_stage ~name ~slot:_ = NCC.instance (NCC.create ~name ())
+
+(* The stage-0 factory always aborts, so both domains switch into a fresh
+   stage 1 at once. *)
+let test_fallback_stage_native_race () =
+  let abort ~name:_ ~slot:_ =
+    Scs_consensus.Consensus_intf.wrap ~name:"abort" (fun ~pid:_ _ ->
+        Scs_composable.Outcome.Abort None)
+  in
+  native_race ~objects:1_000 ~max_requests:4 ~ops:1 [ abort; cas_stage ]
+
+(* ---- slots built in doubling chunks ------------------------------------ *)
+
+(* A solo run of a 1-stage split UC with room for 64 requests that
+   commits [k] of them proposes to slots 0 .. k-1. It must have built the
+   stage skeleton ([Aborted], [Reqs], [C]) and the chunks up to the one
+   holding slot k-1, no more: slots 0-7, 8-23, 24-55, then 56-63 (the
+   last chunk cut at 64). *)
+let test_slot_chunks_lazy () =
+  let per_slot =
+    let sim = Sim.create ~n:2 () in
+    let module P = (val Scs_prims.Sim_prims.make sim) in
+    let module SC = Scs_consensus.Split_consensus.Make (P) in
+    ignore (SC.create ~name:"x" ());
+    Sim.objects_allocated sim
+  in
+  let skeleton =
+    let sim = Sim.create ~n:2 () in
+    let module P = (val Scs_prims.Sim_prims.make sim) in
+    let module UO = Scs_universal.Uc_object.Make (P) in
+    let bare ~name:_ ~slot:_ =
+      Scs_consensus.Consensus_intf.wrap ~name:"bare" (fun ~pid:_ _ ->
+          Scs_composable.Outcome.Abort None)
+    in
+    ignore (UO.create ~name:"uc" ~n:2 ~max_requests:64 ~stages:[ bare ] ());
+    Sim.objects_allocated sim
+  in
+  List.iter
+    (fun (k, built) ->
+      let sim = Sim.create ~n:2 () in
+      spawn_uc ~max_requests:64 sim ~stages:1 ~ops:k [ 0 ];
+      Sim.run sim (Policy.solo 0);
+      Alcotest.(check int)
+        (Printf.sprintf "%d commits build slots 0-%d" k (built - 1))
+        (skeleton + (built * per_slot))
+        (Sim.objects_allocated sim))
+    [ (1, 8); (8, 8); (9, 24); (24, 24); (25, 56); (56, 56); (57, 64) ]
+
+(* A pooled simulator: one solo run commits 12 requests, so stage 0's
+   second chunk is built mid-run, then [Sim.reset] drops its objects.
+   With [forget_built] in the rearm step every later run rebuilds the
+   chunk and repeats the first run event for event; a kept chunk would
+   answer from the previous run's decided slots. *)
+let test_forget_built_pooled () =
+  let sim = Sim.create ~n:2 () in
+  Sim.set_trace sim true;
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let uc =
+    UO.create ~name:"uc" ~n:2 ~max_requests:32
+      ~stages:[ (fun ~name ~slot:_ -> SC.instance (SC.create ~name ())) ]
+      ()
+  in
+  let ph = ref (UO.phandle uc ~pid:0) in
+  Sim.spawn sim 0 (fun () ->
+      for k = 1 to 12 do
+        ignore (UO.invoke !ph (Request.make k Objects.Fai_inc))
+      done);
+  Sim.snapshot sim;
+  let run () =
+    Sim.run sim (Policy.solo 0);
+    (List.map Mem_event.to_string (Sim.trace sim), Sim.objects_allocated sim)
+  in
+  let events, objects = run () in
+  for i = 2 to 3 do
+    Sim.reset sim;
+    UO.forget_built uc;
+    ph := UO.phandle uc ~pid:0;
+    let events', objects' = run () in
+    Alcotest.(check int) (Printf.sprintf "run %d: objects" i) objects objects';
+    Alcotest.(check (list string)) (Printf.sprintf "run %d: events" i) events events'
+  done
+
+(* 20 requests per domain on 1-stage CAS UCs: the domains cross the
+   chunk boundaries at slots 8 and 24 together. *)
+let test_slot_chunk_native_race () = native_race ~objects:500 ~max_requests:64 ~ops:20 [ cas_stage ]
 
 let tests =
   [
@@ -691,6 +777,12 @@ let tests =
       test_fallback_stages_lazy;
     Alcotest.test_case "uc: racing switches share one fallback stage" `Quick
       test_fallback_stage_native_race;
+    Alcotest.test_case "uc: slots are built in doubling chunks on first use" `Quick
+      test_slot_chunks_lazy;
+    Alcotest.test_case "uc: racing chunk builds share one copy" `Quick
+      test_slot_chunk_native_race;
+    Alcotest.test_case "uc: forget_built rewinds built chunks for a pooled run" `Quick
+      test_forget_built_pooled;
   ]
 
 (* Run by CI under several SCS_QCHECK_SEED values. *)
