@@ -1,8 +1,10 @@
 (* The benchmark harness.
 
-   Part 1 replays every experiment of EXPERIMENTS.md (T1–T10, F1, F2):
-   deterministic simulator measurements of the complexity quantities the
-   paper claims, plus the native-throughput sweep.
+   Part 1 replays every registered experiment of EXPERIMENTS.md (T1–T13,
+   F1): deterministic simulator measurements of the complexity quantities
+   the paper claims. Native throughput is measured elsewhere: F2 and the
+   TAS and chain loops by `scs load`, the composed UC and the sharded
+   service by the repository benchmark (benchmark/scsbench.exe).
 
    Part 2 runs Bechamel wall-clock microbenchmarks of the native backend —
    one Test.make per table row family — reporting ns/op estimated by OLS.
@@ -84,8 +86,8 @@ let bench_lin_scalable () =
       assert (Scs_history.Linearize.check_operations Scs_spec.Objects.queue ops))
 
 (* The zipfian CDF at a realistic keyspace: a cold build pays one [**]
-   per key; the shared table (what every sharded-uc driver instance and
-   domain now reuses) amortises it to a hashtable hit. *)
+   per key; the shared table (what every load driver instance and
+   domain reuses) amortises it to a hashtable hit. *)
 let zipf_keys = 1_000_000
 
 let bench_zipf_cdf_cold () =

@@ -724,9 +724,9 @@ let load_cmd =
       & info [ "workload" ] ~docv:"NAME"
           ~doc:
             "Workload: a single name ($(b,speculative), $(b,strict-tas), $(b,solo-fast), \
-             $(b,one-shot), $(b,hardware), $(b,ttas-lock), $(b,uc-register), $(b,chain), \
-             $(b,sharded-uc)), a family ($(b,tas), $(b,uc), $(b,chain), $(b,shard)), or \
-             $(b,all).")
+             $(b,one-shot), $(b,hardware), $(b,ttas-lock), $(b,chain)), a family ($(b,tas), \
+             $(b,chain)), or $(b,all). The composed universal construction and the sharded \
+             service are measured by the repository benchmark ($(b,scsbench)).")
   in
   let domains_arg =
     Arg.(value & opt int 2 & info [ "domains" ] ~docv:"D" ~doc:"OCaml domains driving the loop.")
@@ -775,28 +775,6 @@ let load_cmd =
       value & opt int 4096
       & info [ "rounds" ] ~docv:"R" ~doc:"Long-lived TAS round capacity between recycles.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt (list int) [ 4 ]
-      & info [ "shards" ] ~docv:"S1,S2,..."
-          ~doc:
-            "Shard counts for $(b,sharded-uc): one row per value (e.g. $(b,1,2,4,8) sweeps \
-             the scaling curve). Ignored by other workloads.")
-  in
-  let buckets_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "buckets" ] ~docv:"B"
-          ~doc:"Routing-table buckets for $(b,sharded-uc) (clamped up to the shard count).")
-  in
-  let migrate_every_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "migrate-every" ] ~docv:"K"
-          ~doc:
-            "sharded-uc: domain 0 delegates a bucket to the next shard every $(docv) of its \
-             own updates (0 disables migration).")
-  in
   let json_arg =
     Arg.(
       value & opt (some string) None
@@ -830,10 +808,10 @@ let load_cmd =
     | L.Solo_fast -> Some (Obs_run.Tas Tas_run.Solo_fast)
     | L.Hardware -> Some (Obs_run.Tas Tas_run.Hardware)
     | L.Chain -> Some (Obs_run.Cons Cons_run.Chain3)
-    | L.Ttas_lock | L.Uc_register | L.Sharded_uc -> None
+    | L.Ttas_lock -> None
   in
   let run workload domains sweep duration_s warmup_s mix_name read_ratio keys skew theta
-      rounds shards buckets migrate_every seed json run_id compare_sim sim_runs =
+      rounds seed json run_id compare_sim sim_runs =
     let workloads =
       match workload with
       | "all" -> L.all_workloads
@@ -860,49 +838,28 @@ let load_cmd =
     let skew = match skew with `Uniform -> Mx.Uniform | `Zipfian -> Mx.Zipfian theta in
     let mix = Mx.make ~read_ratio ~keys ~skew in
     let ds = if sweep = [] then [ domains ] else sweep in
-    let shard_counts = if shards = [] then [ 4 ] else shards in
     let host_cores = Domain.recommended_domain_count () in
     let results =
       List.concat_map
         (fun w ->
-          List.concat_map
+          List.map
             (fun d ->
-              (* sharded-uc sweeps shard counts as extra rows; everyone
-                 else gets a single row per domain count *)
-              let cells = match w with L.Sharded_uc -> shard_counts | _ -> [ 0 ] in
-              List.map
-                (fun sc ->
-                  let cfg =
-                    {
-                      (L.default_cfg ~workload:w ~domains:d) with
-                      L.mix;
-                      rounds;
-                      warmup_s;
-                      duration_s;
-                      seed;
-                      shards = (if sc = 0 then 4 else sc);
-                      buckets;
-                      migrate_every;
-                    }
-                  in
-                  let r = L.run cfg in
-                  Printf.eprintf "  %-12s d=%d%s  %.0f ops/s\n%!" (L.workload_name w) d
-                    (if sc = 0 then "" else Printf.sprintf " s=%d" sc)
-                    r.L.r_ops_per_sec;
-                  r)
-                cells)
+              let cfg =
+                {
+                  (L.default_cfg ~workload:w ~domains:d) with
+                  L.mix;
+                  rounds;
+                  warmup_s;
+                  duration_s;
+                  seed;
+                }
+              in
+              let r = L.run cfg in
+              Printf.eprintf "  %-12s d=%d  %.0f ops/s\n%!" (L.workload_name w) d
+                r.L.r_ops_per_sec;
+              r)
             ds)
         workloads
-    in
-    let display (r : L.result) =
-      (* "native:<name>[:sK]:<mix>" -> "<name>[:sK]" *)
-      let lbl = r.L.r_label in
-      let pre = "native:" and suf = ":" ^ Mx.describe mix in
-      if
-        String.length lbl > String.length pre + String.length suf
-        && String.sub lbl 0 (String.length pre) = pre
-      then String.sub lbl (String.length pre) (String.length lbl - String.length pre - String.length suf)
-      else L.workload_name r.L.r_workload
     in
     Scs_util.Table.print
       ~title:
@@ -917,7 +874,7 @@ let load_cmd =
       (List.map
          (fun (r : L.result) ->
            [
-             display r;
+             L.workload_name r.L.r_workload;
              string_of_int r.L.r_domains;
              Printf.sprintf "%.0f" r.L.r_ops_per_sec;
              Printf.sprintf "%.2f" r.L.r_p50_us;
@@ -931,31 +888,6 @@ let load_cmd =
              string_of_int r.L.r_recycles;
            ])
          results);
-    List.iter
-      (fun (r : L.result) ->
-        match r.L.r_extra with
-        | [] -> ()
-        | kvs ->
-            let shard_ops =
-              List.filter_map
-                (fun (k, v) ->
-                  if String.length k >= 6 && String.sub k 0 5 = "shard" then Some v else None)
-                kvs
-            in
-            let imb =
-              match shard_ops with
-              | [] | [ _ ] -> ""
-              | ops ->
-                  let mx = List.fold_left max 0 ops in
-                  let mean =
-                    float_of_int (List.fold_left ( + ) 0 ops) /. float_of_int (List.length ops)
-                  in
-                  Printf.sprintf "  imbalance(max/mean)=%.2f" (float_of_int mx /. max 1.0 mean)
-            in
-            Printf.printf "%s d=%d: %s%s\n" (display r) r.L.r_domains
-              (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs))
-              imb)
-      results;
     if compare_sim then begin
       print_newline ();
       let rows =
@@ -1016,9 +948,8 @@ let load_cmd =
           contention estimators and emitted as bench-trajectory JSON.")
     Term.(
       const run $ workload_arg $ domains_arg $ sweep_arg $ duration_arg $ warmup_arg
-      $ mix_arg $ read_ratio_arg $ keys_arg $ skew_arg $ theta_arg $ rounds_arg $ shards_arg
-      $ buckets_arg $ migrate_every_arg $ seed_arg $ json_arg $ run_id_arg $ compare_sim_arg
-      $ sim_runs_arg)
+      $ mix_arg $ read_ratio_arg $ keys_arg $ skew_arg $ theta_arg $ rounds_arg $ seed_arg
+      $ json_arg $ run_id_arg $ compare_sim_arg $ sim_runs_arg)
 
 (* ---- difffuzz -------------------------------------------------------------- *)
 

@@ -61,7 +61,6 @@ let all =
       run = Exp_t13.run;
     };
     { id = "F1"; title = "Figure 1 dynamics: contention sweep"; ns = []; run = Exp_f1.run };
-    { id = "F2"; title = "Native multicore throughput"; ns = []; run = Exp_f2.run };
   ]
 
 let find id =

@@ -9,9 +9,7 @@ type workload =
   | One_shot
   | Hardware
   | Ttas_lock
-  | Uc_register
   | Chain
-  | Sharded_uc
 
 let workload_name = function
   | Speculative -> "speculative"
@@ -20,9 +18,7 @@ let workload_name = function
   | One_shot -> "one-shot"
   | Hardware -> "hardware"
   | Ttas_lock -> "ttas-lock"
-  | Uc_register -> "uc-register"
   | Chain -> "chain"
-  | Sharded_uc -> "sharded-uc"
 
 let workload_of_string = function
   | "speculative" -> Some Speculative
@@ -31,30 +27,15 @@ let workload_of_string = function
   | "one-shot" -> Some One_shot
   | "hardware" -> Some Hardware
   | "ttas-lock" | "ttas" -> Some Ttas_lock
-  | "uc-register" | "uc" -> Some Uc_register
   | "chain" -> Some Chain
-  | "sharded-uc" | "sharded" -> Some Sharded_uc
   | _ -> None
 
-let all_workloads =
-  [
-    Speculative;
-    Strict_tas;
-    Solo_fast;
-    One_shot;
-    Hardware;
-    Ttas_lock;
-    Uc_register;
-    Chain;
-    Sharded_uc;
-  ]
+let all_workloads = [ Speculative; Strict_tas; Solo_fast; One_shot; Hardware; Ttas_lock; Chain ]
 
 let workload_families =
   [
     ("tas", [ Speculative; Strict_tas; Solo_fast; One_shot; Hardware; Ttas_lock ]);
-    ("uc", [ Uc_register ]);
     ("chain", [ Chain ]);
-    ("shard", [ Sharded_uc ]);
   ]
 
 type cfg = {
@@ -63,13 +44,7 @@ type cfg = {
   mix : Mix.t;
   rounds : int;
   epoch_ops : int;
-  uc_capacity : int;
   chain_capacity : int;
-  shards : int;  (** sharded-uc: universal-construction instances *)
-  buckets : int;  (** sharded-uc: routing-table hash buckets *)
-  migrate_every : int;
-      (** sharded-uc: domain 0 delegates a bucket every this many of
-          its own updates; 0 disables migration *)
   warmup_s : float;
   duration_s : float;
   seed : int;
@@ -82,11 +57,7 @@ let default_cfg ~workload ~domains =
     mix = Mix.make ~read_ratio:0.5 ~keys:16 ~skew:(Mix.Zipfian 0.99);
     rounds = 4096;
     epoch_ops = 8192;
-    uc_capacity = 512;
     chain_capacity = 1024;
-    shards = 4;
-    buckets = 64;
-    migrate_every = 0;
     warmup_s = 0.2;
     duration_s = 1.0;
     seed = 42;
@@ -107,9 +78,6 @@ type inst = {
   i_update : pid:int -> key:int -> rng:Rng.t -> int;
   i_refresh : pid:int -> unit;
   i_recycle : unit -> unit;
-  i_stats : unit -> (string * int) list;
-      (** workload-specific counters for the result's extras (e.g. the
-          sharded service's per-shard op counts); called after join. *)
 }
 
 module Driver (P : Scs_prims.Prims_intf.S) = struct
@@ -118,8 +86,6 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
   module Sf = Scs_tas.Solo_fast.Make (P)
   module Lk = Scs_tas.Locks.Make (P)
   module Bl = Scs_tas.Baselines.Make (P)
-  module Uc = Scs_universal.Uc_object.Make (P)
-  module Sv = Scs_shard.Service.Make (P)
   module Ch = Scs_consensus.Chain.Make (P)
   module Sc = Scs_consensus.Split_consensus.Make (P)
   module Ab = Scs_consensus.Abortable_bakery.Make (P)
@@ -128,6 +94,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
 
   let spf = Printf.sprintf
   let idx i = "[" ^ string_of_int i ^ "]"
+  let round_capacity_message = "Long_lived.test_and_set: round capacity exceeded"
 
   (* Long-lived composed TAS arena (Speculative / Strict_tas). Rounds
      advance as winners reset; when any key's round count nears the
@@ -148,7 +115,9 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
           (if won then f_win lor f_reset else 0)
           lor (if stage = Scs_tas.One_shot.Fallback then f_aborts 1 lor f_handoffs 1 else 0)
           lor if round >= rounds - margin then f_recycle else 0
-      | exception Failure _ -> f_recycle
+      (* rounds other domains win before they park at the barrier can
+         use up the margin; any other failure is a bug and fails the run *)
+      | exception Failure msg when msg = round_capacity_message -> f_recycle
     in
     let i_read ~pid ~key = if Ll.value_read handles.(pid).(key) then f_win else 0 in
     {
@@ -156,7 +125,6 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
       i_update;
       i_refresh = (fun ~pid:_ -> ());
       i_recycle = (fun () -> Array.iter Ll.harness_recycle arr);
-      i_stats = (fun () -> []);
     }
 
   (* One-shot composition arenas (One_shot / Solo_fast): each key holds
@@ -180,7 +148,6 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
       i_update;
       i_refresh = (fun ~pid -> local.(pid) <- 0);
       i_recycle = (fun () -> Array.iter Os.harness_reset arr);
-      i_stats = (fun () -> []);
     }
 
   let solo_fast_arena ~domains ~keys ~epoch_ops =
@@ -200,7 +167,6 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
       i_update;
       i_refresh = (fun ~pid -> local.(pid) <- 0);
       i_recycle = (fun () -> Array.iter Sf.harness_reset arr);
-      i_stats = (fun () -> []);
     }
 
   (* Raw hardware TAS baseline: win/reset cycles, one AWAR per update
@@ -220,7 +186,6 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
       i_update;
       i_refresh = (fun ~pid:_ -> ());
       i_recycle = (fun () -> ());
-      i_stats = (fun () -> []);
     }
 
   (* TTAS lock baseline: per-key lock-protected counter. The counter
@@ -242,66 +207,6 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
       i_update;
       i_refresh = (fun ~pid:_ -> ());
       i_recycle = (fun () -> ());
-      i_stats = (fun () -> []);
-    }
-
-  (* Universal-construction register (split > bakery > cas stages).
-     Request histories are bounded by [max_requests] and responses
-     replay the history, so each op — reads included, they are
-     requests too — consumes capacity; per-domain budgets request a
-     recycle well before exhaustion, and the leader rebuilds the whole
-     arena (a fresh generation of objects; per-domain phandles are
-     rebuilt in refresh). *)
-  let uc_register ~domains ~keys ~capacity =
-    let stages =
-      [
-        (fun ~name ~slot -> Sc.instance (Sc.create ~name:(name ^ ".split" ^ idx slot) ()));
-        (fun ~name ~slot ->
-          Ab.instance (Ab.create ~name:(name ^ ".bakery" ^ idx slot) ~n:domains ()));
-        (fun ~name ~slot -> Cc.instance (Cc.create ~name:(name ^ ".cas" ^ idx slot) ()));
-      ]
-    in
-    let mk_arena () =
-      Array.init keys (fun k ->
-          Uc.Typed.create Objects.register
-            (Uc.create ~name:("load.uc" ^ idx k) ~n:domains ~max_requests:capacity ~stages ()))
-    in
-    let arena = ref (mk_arena ()) in
-    let budget = max 1 ((capacity - (2 * domains) - 2) / domains) in
-    let used = Array.make domains 0 in
-    let ctr = Array.make domains 0 in
-    let handles =
-      Array.init domains (fun pid -> Array.map (fun o -> Uc.Typed.handle o ~pid) !arena)
-    in
-    let fresh_req pid payload =
-      let c = ctr.(pid) + 1 in
-      ctr.(pid) <- c;
-      Request.make ((c * domains) + pid) payload
-    in
-    let apply ~pid ~key payload =
-      let hp = handles.(pid).(key) in
-      let s0 = Uc.stage_of (Uc.Typed.phandle hp) in
-      match Uc.Typed.apply hp (fresh_req pid payload) with
-      | _ ->
-          let switched = Uc.stage_of (Uc.Typed.phandle hp) - s0 in
-          let u = used.(pid) + 1 in
-          used.(pid) <- u;
-          f_aborts switched lor f_handoffs switched
-          lor if u >= budget then f_recycle else 0
-      | exception Failure _ -> f_recycle
-    in
-    let i_update ~pid ~key ~rng = f_win lor apply ~pid ~key (Objects.Reg_write (Rng.int rng 1024)) in
-    let i_read ~pid ~key = apply ~pid ~key Objects.Reg_read in
-    let i_refresh ~pid =
-      handles.(pid) <- Array.map (fun o -> Uc.Typed.handle o ~pid) !arena;
-      used.(pid) <- 0
-    in
-    {
-      i_read;
-      i_update;
-      i_refresh;
-      i_recycle = (fun () -> arena := mk_arena ());
-      i_stats = (fun () -> []);
     }
 
   (* Composed consensus chain: per key, an array of chain instances and
@@ -363,103 +268,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
           Atomic.set cur.(k) 0)
         arena
     in
-    { i_read; i_update; i_refresh = (fun ~pid:_ -> ()); i_recycle; i_stats = (fun () -> []) }
-
-  (* The sharded universal-construction service: keys hash to buckets,
-     buckets route to one of [shards] UC instances, and every op goes
-     through the per-shard flat-combining batcher. The keyspace's
-     total state budget [capacity] is split across shards, so more
-     shards mean shorter per-shard request histories — that is the
-     sharding win the --shards sweep measures (response evaluation
-     replays the history, so per-op cost scales with per-shard
-     capacity), on top of real parallelism when cores allow. Domain 0
-     optionally delegates a bucket to the next shard every
-     [migrate_every] of its own updates, exercising the freeze → seal
-     → install → re-route protocol under full native load. *)
-  let sharded_uc ~domains ~shards ~buckets ~capacity ~migrate_every =
-    let shard_cap = max ((4 * domains) + 16) (capacity / shards) in
-    let generation = Atomic.make 0 in
-    let mk () =
-      let g = Atomic.fetch_and_add generation 1 in
-      let svc =
-        Sv.create ~name:("load.svc.g" ^ string_of_int g) ~n:domains ~shards ~buckets
-          ~capacity:shard_cap ()
-      in
-      (svc, Sv.Batcher.create ~name:("load.bat.g" ^ string_of_int g) svc)
-    in
-    let arena = ref (mk ()) in
-    let budget = max 1 ((shard_cap - (2 * domains) - 4) / domains) in
-    let handles = Array.init domains (fun pid -> Sv.handle (fst !arena) ~pid) in
-    let used = Array.make_matrix domains shards 0 in
-    (* Completed client ops, counted here; the batcher counts the cells
-       each shard served (one per [Done] op) and the refused cells its
-       submitters retried. Batcher counts of recycled arenas accumulate
-       in [served]/[refused]. *)
-    let done_ops = Atomic.make 0 in
-    let served = Array.init shards (fun _ -> Atomic.make 0) in
-    let batches = Atomic.make 0 and refused = Atomic.make 0 in
-    let mig = ref (Sv.Migration.create ~name:"load.mig.g0" (fst !arena)) in
-    let mig_rr = Atomic.make 0 and upd0 = ref 0 in
-    let apply ~pid ~key payload =
-      let svc, bat = !arena in
-      match Sv.Batcher.apply bat ~h:handles.(pid) payload with
-      | Sv.Done _ ->
-          Atomic.incr done_ops;
-          (* charged to the route after return: the executing shard
-             unless a migration moved the bucket meanwhile *)
-          let b = Scs_shard.Kv.bucket_of_key ~buckets key in
-          let s = (Sv.R.route_bucket (Sv.router svc) ~bucket:b).Sv.R.owner in
-          let u = used.(pid).(s) + 1 in
-          used.(pid).(s) <- u;
-          (f_win lor if u >= budget then f_recycle else 0)
-      | Sv.Gave_up -> f_recycle
-      | exception Failure _ -> f_recycle
-    in
-    let maybe_migrate ~pid =
-      if migrate_every > 0 && pid = 0 then begin
-        incr upd0;
-        if !upd0 mod migrate_every = 0 then begin
-          let svc, _ = !arena in
-          let b = Atomic.fetch_and_add mig_rr 1 mod buckets in
-          let dst = ((Sv.R.route_bucket (Sv.router svc) ~bucket:b).Sv.R.owner + 1) mod shards in
-          try Sv.Migration.migrate !mig ~h:handles.(pid) ~bucket:b ~dst
-          with Failure _ -> ()
-        end
-      end
-    in
-    let i_update ~pid ~key ~rng =
-      maybe_migrate ~pid;
-      apply ~pid ~key (Scs_shard.Kv.Put (key, Rng.int rng 1024))
-    in
-    let i_read ~pid ~key = apply ~pid ~key (Scs_shard.Kv.Get key) land lnot f_win in
-    let i_refresh ~pid =
-      handles.(pid) <- Sv.handle (fst !arena) ~pid;
-      Array.fill used.(pid) 0 shards 0
-    in
-    let i_recycle () =
-      let _, bat = !arena in
-      Atomic.set batches (Atomic.get batches + Sv.Batcher.batches bat);
-      Atomic.set refused (Atomic.get refused + Sv.Batcher.refused_ops bat);
-      Array.iteri
-        (fun shard c -> Atomic.set c (Atomic.get c + Sv.Batcher.served_ops bat ~shard))
-        served;
-      let g = Atomic.get generation in
-      arena := mk ();
-      mig := Sv.Migration.create ~name:(spf "load.mig.g%d" g) (fst !arena)
-    in
-    let i_stats () =
-      let _, bat = !arena in
-      let refused = Atomic.get refused + Sv.Batcher.refused_ops bat in
-      let served =
-        List.init shards (fun shard -> Atomic.get served.(shard) + Sv.Batcher.served_ops bat ~shard)
-      in
-      ("batches", Atomic.get batches + Sv.Batcher.batches bat)
-      :: ("batched_ops", List.fold_left ( + ) refused served)
-      :: ("refused_cells", refused)
-      :: ("done_ops", Atomic.get done_ops)
-      :: List.mapi (fun s v -> (spf "shard%d_ops" s, v)) served
-    in
-    { i_read; i_update; i_refresh; i_recycle; i_stats }
+    { i_read; i_update; i_refresh = (fun ~pid:_ -> ()); i_recycle }
 
   let make cfg =
     let domains = cfg.domains and keys = Mix.keys cfg.mix in
@@ -470,12 +279,7 @@ module Driver (P : Scs_prims.Prims_intf.S) = struct
     | Solo_fast -> solo_fast_arena ~domains ~keys ~epoch_ops:cfg.epoch_ops
     | Hardware -> hardware ~keys
     | Ttas_lock -> ttas_lock ~keys
-    | Uc_register -> uc_register ~domains ~keys ~capacity:cfg.uc_capacity
     | Chain -> chain ~domains ~keys ~capacity:cfg.chain_capacity
-    | Sharded_uc ->
-        sharded_uc ~domains ~shards:cfg.shards
-          ~buckets:(max cfg.buckets cfg.shards)
-          ~capacity:cfg.uc_capacity ~migrate_every:cfg.migrate_every
 end
 
 (* ------------------------------------------------------------------ *)
@@ -501,7 +305,6 @@ type result = {
   r_resets : int;
   r_recycles : int;
   r_abort_rate : float;
-  r_extra : (string * int) list;
 }
 
 type dstat = {
@@ -622,14 +425,9 @@ let run cfg =
   let ops = sum (fun s -> s.s_ops) and updates = sum (fun s -> s.s_updates) in
   let aborts = Scs_obs.Obs.total_aborts merged in
   let us ns = float_of_int ns /. 1e3 in
-  let shard_tag =
-    match cfg.workload with Sharded_uc -> Printf.sprintf ":s%d" cfg.shards | _ -> ""
-  in
   {
     r_workload = cfg.workload;
-    r_label =
-      Printf.sprintf "native:%s%s:%s" (workload_name cfg.workload) shard_tag
-        (Mix.describe mix);
+    r_label = Printf.sprintf "native:%s:%s" (workload_name cfg.workload) (Mix.describe mix);
     r_domains = domains;
     r_elapsed_s = elapsed;
     r_ops = ops;
@@ -647,7 +445,6 @@ let run cfg =
     r_resets = sum (fun s -> s.s_resets);
     r_recycles = sum (fun s -> s.s_recycles);
     r_abort_rate = float_of_int aborts /. float_of_int (max 1 updates);
-    r_extra = inst.i_stats ();
   }
 
 let to_record r =
@@ -696,7 +493,6 @@ let sim_selfcheck ?(seed = 7) ?(backend = Scs_prims.Backend.default) ~n ~ops_per
       rounds = max 64 (16 * n * ops_per_proc);
       epoch_ops = max 64 (16 * n * ops_per_proc);
       chain_capacity = max 64 (16 * n * ops_per_proc);
-      uc_capacity = max 64 (16 * n * ops_per_proc);
     }
   in
   let sim = Scs_sim.Sim.create ~n ()
@@ -748,7 +544,7 @@ let sim_selfcheck ?(seed = 7) ?(backend = Scs_prims.Backend.default) ~n ~ops_per
         List.for_all
           (fun (e, k) -> wins_at e k = 1)
           [ (0, 0); (0, 1); (1, 0); (1, 1) ]
-    | Speculative | Strict_tas | Hardware | Ttas_lock | Uc_register | Chain | Sharded_uc ->
+    | Speculative | Strict_tas | Hardware | Ttas_lock | Chain ->
         (* solo ops always win their round / commit their write *)
         List.for_all (fun (_, _, _, fl) -> fl land f_win <> 0) rows
   in

@@ -12,13 +12,18 @@
     sinks merged at join time, so the hot path never contends on the
     observability layer.
 
+    The composed universal construction and the sharded service are
+    not driven here: the repository benchmark ([scsbench], in
+    [benchmark/]) measures them natively, types their failures and
+    checks every run's history per key. This harness keeps the TAS
+    variants, the consensus chain and experiment T15's comparison of
+    measured hardware rates with the simulator's estimators.
+
     {2 Closed loops over bounded objects}
 
     The paper's objects are one-shot or bounded: a composed TAS decides
-    once, a long-lived TAS has a fixed round array, a consensus chain
-    decides once, and a universal-construction object has a bounded
-    request history (and response evaluation that replays it). A closed
-    loop must therefore periodically {e recycle} its arena. Drivers
+    once, a long-lived TAS has a fixed round array, and a consensus
+    chain decides once. A closed loop must therefore periodically {e recycle} its arena. Drivers
     request this by setting a flag bit; the engine then runs a
     quiescent barrier: the requesting domain becomes the leader, every
     other active domain parks at the barrier (domains that already
@@ -44,13 +49,9 @@
     strict [A1]); [One_shot] and [Solo_fast] are arenas of one-shot
     compositions recycled per epoch; [Hardware] and [Ttas_lock] are the
     baselines (raw hardware TAS win/reset cycles, and a TTAS
-    lock-protected counter); [Uc_register] is a register built from the
-    composed universal construction (split > bakery > cas stages);
-    [Chain] proposes on a composed consensus chain, advancing to a
-    fresh instance as each decides; [Sharded_uc] routes keyed
-    operations over [cfg.shards] universal-construction instances
-    through the {!Scs_shard} service (batched via its flat-combining
-    [Batcher], with optional periodic bucket migration). *)
+    lock-protected counter); [Chain] proposes on a composed consensus
+    chain (split > bakery > cas), advancing to a fresh instance as each
+    decides. *)
 type workload =
   | Speculative
   | Strict_tas
@@ -58,17 +59,15 @@ type workload =
   | One_shot
   | Hardware
   | Ttas_lock
-  | Uc_register
   | Chain
-  | Sharded_uc
 
 val workload_name : workload -> string
 val workload_of_string : string -> workload option
 val all_workloads : workload list
 
 val workload_families : (string * workload list) list
-(** The acceptance families: composed TAS variants, the UC-backed
-    object, the consensus chain, and the sharded service. *)
+(** The acceptance families: composed TAS variants and the consensus
+    chain. *)
 
 type cfg = {
   workload : workload;
@@ -76,13 +75,7 @@ type cfg = {
   mix : Mix.t;
   rounds : int;  (** long-lived TAS round capacity *)
   epoch_ops : int;  (** per-domain updates between arena recycles *)
-  uc_capacity : int;  (** universal-construction [max_requests] *)
   chain_capacity : int;  (** consensus instances per chain arena *)
-  shards : int;  (** sharded-uc: universal-construction instances *)
-  buckets : int;  (** sharded-uc: routing-table hash buckets *)
-  migrate_every : int;
-      (** sharded-uc: domain 0 delegates a bucket every this many of
-          its own updates; 0 disables migration *)
   warmup_s : float;
   duration_s : float;
   seed : int;
@@ -112,9 +105,6 @@ type result = {
   r_resets : int;  (** winner resets (long-lived rounds, hardware cycles) *)
   r_recycles : int;  (** quiescent arena recycles *)
   r_abort_rate : float;  (** aborts per update *)
-  r_extra : (string * int) list;
-      (** workload-specific counters (sharded-uc: flat-combining batch
-          counts and per-shard op totals — the imbalance evidence) *)
 }
 
 val run : cfg -> result
@@ -143,9 +133,6 @@ type inst = {
   i_recycle : unit -> unit;
       (** Rebuild/harness-reset the arena; caller must guarantee
           quiescence. *)
-  i_stats : unit -> (string * int) list;
-      (** Workload-specific counters for {!result}[.r_extra]; called
-          once after all domains have joined. *)
 }
 
 val f_win : int

@@ -18,8 +18,8 @@
 
     [sharded_kv_s1] is the differential-identity twin of [uc_kv]: the
     same op script through a 1-shard service vs. a bare
-    universal-construction object, for the [--shards 1] identity gate
-    in CI (same seeds, verdicts must agree — and test/test_shard.ml
+    universal-construction object, for the 1-shard identity gate in
+    CI (same seeds, verdicts must agree — and test/test_shard.ml
     pins response-level identity under a deterministic schedule). *)
 
 val sharded_kv : Workload_def.t

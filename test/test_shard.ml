@@ -161,6 +161,89 @@ let test_batcher_self_service () =
   Alcotest.(check bool) "drains counted" true (S.Batcher.batches bat >= 2);
   Alcotest.(check int) "every cell served" 2 (S.Batcher.batched_ops bat)
 
+(* Two native domains through one batcher while domain 0 migrates the
+   bucket of its current key every 40 of its ops. Key k is written only
+   by domain k mod 2, so each key's last acknowledged [Put] is known
+   without a checker. A [Gave_up] op had no effect (every attempt was
+   refused or waited on a frozen route) and is not a completed op. *)
+let test_batcher_two_domains_migrating () =
+  let ops = 150 and keys = 16 in
+  let svc = S.create ~name:(fresh_name ()) ~n:2 ~shards:2 ~buckets:8 ~capacity:2048 () in
+  let bat = S.Batcher.create ~name:(fresh_name ()) svc in
+  let mig = S.Migration.create ~name:(fresh_name ()) svc in
+  let ready = Atomic.make 0 in
+  let worker pid () =
+    let h = S.handle svc ~pid in
+    (* start together, so that the ops and migrations overlap *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let last = Array.make keys None and completed = ref 0 in
+    for i = 1 to ops do
+      let key = pid + (2 * (i * 5 mod (keys / 2))) in
+      let req = if i mod 3 = 0 then Kv.Get key else Kv.Put (key, (1000 * pid) + i) in
+      (match (S.Batcher.apply bat ~h req, req) with
+      | S.Done Kv.Ack, Kv.Put (_, v) ->
+          incr completed;
+          last.(key) <- Some v
+      | S.Done _, _ -> incr completed
+      | S.Gave_up, _ -> ());
+      if pid = 0 && i mod 40 = 0 then begin
+        let bucket = Kv.bucket_of_key ~buckets:8 key in
+        let owner = (S.R.route_bucket (S.router svc) ~bucket).S.R.owner in
+        S.Migration.migrate mig ~h ~bucket ~dst:((owner + 1) mod 2)
+      end
+    done;
+    (!completed, h, last)
+  in
+  let results = List.map Domain.join (List.init 2 (fun pid -> Domain.spawn (worker pid))) in
+  let served = List.init 2 (fun shard -> S.Batcher.served_ops bat ~shard) in
+  Alcotest.(check int) "every completed op served by exactly one shard"
+    (List.fold_left (fun acc (c, _, _) -> acc + c) 0 results)
+    (List.fold_left ( + ) 0 served);
+  List.iteri (fun s n -> if n = 0 then Alcotest.failf "shard %d served no op" s) served;
+  (* each domain's handle reads its own keys: a fresh handle would
+     reuse request ids the old one already committed *)
+  List.iter
+    (fun (_, h, last) ->
+      Array.iteri
+        (fun key -> function
+          | None -> ()
+          | Some v -> (
+              match S.apply h (Kv.Get key) with
+              | S.Done (Kv.Value got) when got = v -> ()
+              | S.Done r -> Alcotest.failf "key %d: got %s, want %d" key (Kv.show_resp r) v
+              | S.Gave_up -> Alcotest.failf "key %d: final get gave up" key))
+        last)
+    results
+
+(* The same batcher code under the simulator, randomly interleaved:
+   every process writes and reads back its own key, and the shards'
+   served counts account for every op. *)
+let test_batcher_sim () =
+  let n = 3 in
+  let sim = Scs_sim.Sim.create ~n () in
+  let module Sp = (val Scs_prims.Backend.sim_prims Scs_prims.Backend.default sim) in
+  let module Ss = Scs_shard.Service.Make (Sp) in
+  let svc = Ss.create ~name:"svc" ~n ~shards:2 ~buckets:4 ~capacity:64 () in
+  let bat = Ss.Batcher.create ~name:"bat" svc in
+  let got = Array.make n None in
+  for pid = 0 to n - 1 do
+    Scs_sim.Sim.spawn sim pid (fun () ->
+        let h = Ss.handle svc ~pid in
+        ignore (Ss.Batcher.apply bat ~h (Kv.Put (pid, pid + 10)));
+        got.(pid) <- Some (Ss.Batcher.apply bat ~h (Kv.Get pid)))
+  done;
+  Scs_sim.Sim.run sim (Scs_sim.Policy.random (Scs_util.Rng.create 5));
+  Array.iteri
+    (fun pid -> function
+      | Some (Ss.Done (Kv.Value v)) when v = pid + 10 -> ()
+      | _ -> Alcotest.failf "p%d: wrong or missing read-back" pid)
+    got;
+  Alcotest.(check int) "every op served once" (2 * n)
+    (Ss.Batcher.served_ops bat ~shard:0 + Ss.Batcher.served_ops bat ~shard:1)
+
 (* ---- 1-shard differential identity ----------------------------------- *)
 
 (* The same deterministic op sequence through (a) the 1-shard service
@@ -266,6 +349,9 @@ let tests =
         test_migration_moves_bucket;
       Alcotest.test_case "in-place migration preserves state" `Quick test_migration_in_place;
       Alcotest.test_case "batcher self-service drains" `Quick test_batcher_self_service;
+      Alcotest.test_case "batcher: two domains, two shards, migrating" `Quick
+        test_batcher_two_domains_migrating;
+      Alcotest.test_case "batcher under the simulator" `Quick test_batcher_sim;
       Alcotest.test_case "1-shard service ≡ bare UC (response identity)" `Quick
         test_s1_identity;
       Alcotest.test_case "fuzz: migrating service (uniform)" `Slow test_fuzz_migrate;
