@@ -4,21 +4,19 @@
    scs experiment T1 [T2 ...]        run experiments by id
    scs simulate --algo=... -n 4 ...  one simulated TAS run with a trace dump
    scs consensus --algo=... -n 4     one simulated consensus run
-   scs check --algo=... --seeds 500  randomized safety checking *)
+   scs check --algo=... --seeds 500  randomized safety checking
+   scs explore --algo=... -n 3 --por exhaustive bounded model checking
+   scs fuzz --workload=...           schedule fuzzing with shrunk .scsrepro output
+   scs difffuzz --workload=...       atomic vs per-object-SC differential fuzzing
+   scs replay FILE...                re-run .scsrepro artifacts
+   scs stats --target=...            observability-instrumented step statistics
+   scs load --workload=...           native multicore closed-loop benchmark *)
 
 open Cmdliner
 open Scs_spec
 open Scs_history
 open Scs_sim
 open Scs_workload
-
-(* repro artifacts land under a user-supplied --out directory that need
-   not exist yet *)
-let rec ensure_dir d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    ensure_dir (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
 
 (* ---- shared args ------------------------------------------------------ *)
 
@@ -83,6 +81,74 @@ let backend_arg =
           "Simulator primitive backend: $(b,sim-lin) (atomic registers) or \
            $(b,sim-sc)[:LAG] (per-object sequentially-consistent registers that may \
            serve reads up to LAG writes stale; RMW objects stay atomic).")
+
+(* -n for commands that run many workloads: each defaults to its own *)
+let n_opt_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "n"; "processes" ] ~docv:"N" ~doc:"Process count (default: per workload).")
+
+let out_arg =
+  Arg.(
+    value & opt string "."
+    & info [ "out" ] ~docv:"DIR" ~doc:"Directory for emitted .scsrepro artifacts.")
+
+let no_shrink_arg =
+  Arg.(value & flag & info [ "no-shrink" ] ~doc:"Emit raw failing schedules unshrunk.")
+
+(* --json FILE and --run-id ID, as one term: the optional save of a
+   command's rows as a bench trajectory *)
+let trajectory_arg ~run_id =
+  let json_arg =
+    Arg.(
+      value & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Also write the rows as a bench-trajectory JSON file (schema \
+                scs.bench.trajectory/1, validated on write; see docs/metrics.md).")
+  in
+  let run_id_arg =
+    Arg.(
+      value & opt string run_id
+      & info [ "run-id" ] ~docv:"ID" ~doc:"The $(b,run) field of the emitted JSON.")
+  in
+  let save json run ~seed records =
+    Option.iter
+      (fun path ->
+        Scs_obs.Trajectory.save path { Scs_obs.Trajectory.run; seed; records };
+        Printf.printf "\nwrote %s (%d records, schema %s)\n" path (List.length records)
+          Scs_obs.Trajectory.schema_version)
+      json
+  in
+  Term.(const save $ json_arg $ run_id_arg)
+
+(* A fuzz workload by name, or every workload expected to hold *)
+let select_workloads = function
+  | "all" -> List.filter (fun w -> not w.Fuzz_run.expect_failures) Fuzz_run.all
+  | name -> (
+      match Fuzz_run.find name with
+      | Some w -> [ w ]
+      | None ->
+          Printf.eprintf "unknown workload %s (try `scs fuzz --list-workloads')\n" name;
+          exit 1)
+
+let print_shrink (st : Shrink.stats) =
+  Printf.printf "shrunk %d -> %d turns (%d replays, %d reductions, %d drifts, %d rounds)\n"
+    st.Shrink.orig_len st.Shrink.final_len st.Shrink.attempts st.Shrink.accepted
+    st.Shrink.drifted st.Shrink.rounds
+
+(* Repro artifacts land under a user-supplied --out directory that need
+   not exist yet. Returns the file's path. *)
+let save_repro ~out file repro =
+  let rec ensure_dir d =
+    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+      ensure_dir (Filename.dirname d);
+      try Sys.mkdir d 0o755 with Sys_error _ -> ()
+    end
+  in
+  let path = Filename.concat out file in
+  ensure_dir out;
+  Fuzz.Repro.save path repro;
+  path
 
 (* ---- list -------------------------------------------------------------- *)
 
@@ -336,11 +402,6 @@ let fuzz_cmd =
   let list_arg =
     Arg.(value & flag & info [ "list-workloads" ] ~doc:"List fuzz workloads and exit.")
   in
-  let n_opt_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n"; "processes" ] ~docv:"N" ~doc:"Process count (default: per workload).")
-  in
   let runs_arg =
     Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"K" ~doc:"Schedules per policy.")
   in
@@ -353,14 +414,6 @@ let fuzz_cmd =
     Arg.(
       value & opt int 1
       & info [ "max-violations" ] ~docv:"M" ~doc:"Stop a workload after $(docv) violations.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "."
-      & info [ "out" ] ~docv:"DIR" ~doc:"Directory for emitted .scsrepro artifacts.")
-  in
-  let no_shrink_arg =
-    Arg.(value & flag & info [ "no-shrink" ] ~doc:"Emit raw failing schedules unshrunk.")
   in
   let check_domains_arg =
     Arg.(
@@ -421,16 +474,7 @@ let fuzz_cmd =
         Fuzz_run.all;
       exit 0
     end;
-    let workloads =
-      match workload with
-      | "all" -> List.filter (fun w -> not w.Fuzz_run.expect_failures) Fuzz_run.all
-      | name -> (
-          match Fuzz_run.find name with
-          | Some w -> [ w ]
-          | None ->
-              Printf.eprintf "unknown workload %s (try --list-workloads)\n" name;
-              exit 1)
-    in
+    let workloads = select_workloads workload in
     let found = ref 0 in
     List.iter
       (fun (w : Fuzz_run.t) ->
@@ -448,14 +492,11 @@ let fuzz_cmd =
             let schedule, crashes =
               if no_shrink then (v.Fuzz.v_schedule, v.Fuzz.v_crashes)
               else begin
-                let (sched, crs), (st : Shrink.stats) =
+                let (sched, crs), st =
                   Fuzz_run.shrink ~backend w ~n ~schedule:v.Fuzz.v_schedule
                     ~crashes:v.Fuzz.v_crashes
                 in
-                Printf.printf
-                  "shrunk %d -> %d turns (%d replays, %d reductions, %d drifts, %d rounds)\n"
-                  st.Shrink.orig_len st.Shrink.final_len st.Shrink.attempts
-                  st.Shrink.accepted st.Shrink.drifted st.Shrink.rounds;
+                print_shrink st;
                 (sched, crs)
               end
             in
@@ -464,11 +505,10 @@ let fuzz_cmd =
               { (Fuzz.Repro.of_violation v) with Fuzz.Repro.schedule; crashes }
             in
             let path =
-              Filename.concat out
+              save_repro ~out
                 (Printf.sprintf "%s-n%d-%d.scsrepro" v.Fuzz.v_workload n v.Fuzz.v_seed)
+                repro
             in
-            ensure_dir out;
-            Fuzz.Repro.save path repro;
             Printf.printf "repro written to %s\n" path)
           report.Fuzz.r_violations;
         print_newline ())
@@ -521,18 +561,6 @@ let stats_cmd =
           ~doc:"Measure one solo run of process 0 instead of a seeded batch (the \
                 uncontended cost the paper's complexity claims are stated for).")
   in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the rows as a bench-trajectory JSON file (schema \
-                scs.bench.trajectory/1, validated on write; see docs/metrics.md).")
-  in
-  let run_id_arg =
-    Arg.(
-      value & opt string "stats"
-      & info [ "run-id" ] ~docv:"ID" ~doc:"The $(b,run) field of the emitted JSON.")
-  in
   let objects_arg =
     Arg.(
       value & flag
@@ -546,7 +574,7 @@ let stats_cmd =
             "Split each batch across $(docv) OCaml domains, each with a pooled \
              simulator and private obs sink, merged deterministically at join.")
   in
-  let run target list_targets ns n runs seed policy backend crash_prob solo json run_id
+  let run target list_targets ns n runs seed policy backend crash_prob solo save_json
       objects gen_domains =
     if list_targets then begin
       List.iter print_endline (Obs_run.target_names ());
@@ -671,19 +699,7 @@ let stats_cmd =
           Printf.printf "cross-shard imbalance (max/mean ops): %.2f\n"
             (float_of_int mx /. max 1.0 mean)
     | _ -> ());
-    match json with
-    | None -> ()
-    | Some path ->
-        let t =
-          {
-            Scs_obs.Trajectory.run = run_id;
-            seed;
-            records = List.map Obs_run.to_record aggs;
-          }
-        in
-        Scs_obs.Trajectory.save path t;
-        Printf.printf "\nwrote %s (%d records, schema %s)\n" path (List.length ns)
-          Scs_obs.Trajectory.schema_version
+    save_json ~seed (List.map Obs_run.to_record aggs)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -693,8 +709,8 @@ let stats_cmd =
           optionally emitted as a validated bench-trajectory JSON (docs/metrics.md).")
     Term.(
       const run $ target_arg $ list_targets_arg $ ns_arg $ n_arg $ runs_arg $ seed_arg
-      $ policy_arg $ backend_arg $ crash_prob_arg $ solo_arg $ json_arg $ run_id_arg
-      $ objects_arg $ gen_domains_arg)
+      $ policy_arg $ backend_arg $ crash_prob_arg $ solo_arg
+      $ trajectory_arg ~run_id:"stats" $ objects_arg $ gen_domains_arg)
 
 (* ---- load ------------------------------------------------------------------ *)
 
@@ -775,18 +791,6 @@ let load_cmd =
       value & opt int 4096
       & info [ "rounds" ] ~docv:"R" ~doc:"Long-lived TAS round capacity between recycles.")
   in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the rows as a bench-trajectory JSON file with native records \
-                (schema scs.bench.trajectory/1, validated on write; docs/metrics.md).")
-  in
-  let run_id_arg =
-    Arg.(
-      value & opt string "load"
-      & info [ "run-id" ] ~docv:"ID" ~doc:"The $(b,run) field of the emitted JSON.")
-  in
   let compare_sim_arg =
     Arg.(
       value & flag
@@ -811,7 +815,7 @@ let load_cmd =
     | L.Ttas_lock -> None
   in
   let run workload domains sweep duration_s warmup_s mix_name read_ratio keys skew theta
-      rounds seed json run_id compare_sim sim_runs =
+      rounds seed save_json compare_sim sim_runs =
     let workloads =
       match workload with
       | "all" -> L.all_workloads
@@ -928,15 +932,7 @@ let load_cmd =
           rows
       else print_endline "compare-sim: no simulator analog for the selected workloads"
     end;
-    match json with
-    | None -> ()
-    | Some path ->
-        let t =
-          { Scs_obs.Trajectory.run = run_id; seed; records = List.map L.to_record results }
-        in
-        Scs_obs.Trajectory.save path t;
-        Printf.printf "\nwrote %s (%d records, schema %s)\n" path (List.length results)
-          Scs_obs.Trajectory.schema_version
+    save_json ~seed (List.map L.to_record results)
   in
   Cmd.v
     (Cmd.info "load"
@@ -949,7 +945,7 @@ let load_cmd =
     Term.(
       const run $ workload_arg $ domains_arg $ sweep_arg $ duration_arg $ warmup_arg
       $ mix_arg $ read_ratio_arg $ keys_arg $ skew_arg $ theta_arg $ rounds_arg $ seed_arg
-      $ json_arg $ run_id_arg $ compare_sim_arg $ sim_runs_arg)
+      $ trajectory_arg ~run_id:"load" $ compare_sim_arg $ sim_runs_arg)
 
 (* ---- difffuzz -------------------------------------------------------------- *)
 
@@ -961,11 +957,6 @@ let difffuzz_cmd =
           ~doc:
             "Workload to diff-fuzz (see $(b,scs fuzz --list-workloads)); $(b,all) covers \
              every workload that is expected to hold on atomic registers.")
-  in
-  let n_opt_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "n"; "processes" ] ~docv:"N" ~doc:"Process count (default: per workload).")
   in
   let runs_arg =
     Arg.(value & opt int 200 & info [ "runs" ] ~docv:"K" ~doc:"Runs per schedule policy.")
@@ -986,14 +977,6 @@ let difffuzz_cmd =
       & info [ "max-findings" ] ~docv:"M"
           ~doc:"Collect at most $(docv) SC-only findings per workload.")
   in
-  let no_shrink_arg =
-    Arg.(value & flag & info [ "no-shrink" ] ~doc:"Emit raw SC-only schedules unshrunk.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "."
-      & info [ "out" ] ~docv:"DIR" ~doc:"Directory for emitted .scsrepro artifacts.")
-  in
   let expect_identical_arg =
     Arg.(
       value & flag
@@ -1004,16 +987,7 @@ let difffuzz_cmd =
              SC backend must be verdict-identical to the linearizable one.")
   in
   let run workload n_opt runs seed lag max_findings no_shrink out expect_identical =
-    let workloads =
-      match workload with
-      | "all" -> List.filter (fun w -> not w.Fuzz_run.expect_failures) Fuzz_run.all
-      | name -> (
-          match Fuzz_run.find name with
-          | Some w -> [ w ]
-          | None ->
-              Printf.eprintf "unknown workload %s (try `scs fuzz --list-workloads')\n" name;
-              exit 1)
-    in
+    let workloads = select_workloads workload in
     let divergent = ref 0 and found = ref 0 in
     List.iter
       (fun (w : Fuzz_run.t) ->
@@ -1054,23 +1028,16 @@ let difffuzz_cmd =
               "\nSC-only violation in %s (sc-lag %d) under %s (run seed %d): %s\n"
               f.Diff_fuzz.df_workload f.Diff_fuzz.df_lag f.Diff_fuzz.df_policy
               f.Diff_fuzz.df_seed f.Diff_fuzz.df_error;
-            (match f.Diff_fuzz.df_shrink with
-            | Some (st : Shrink.stats) ->
-                Printf.printf
-                  "shrunk %d -> %d turns (%d replays, %d reductions, %d drifts, %d rounds)\n"
-                  st.Shrink.orig_len st.Shrink.final_len st.Shrink.attempts
-                  st.Shrink.accepted st.Shrink.drifted st.Shrink.rounds
-            | None -> ());
+            Option.iter print_shrink f.Diff_fuzz.df_shrink;
             print_endline
               (Fuzz.render_lanes ~n ~schedule:f.Diff_fuzz.df_schedule ~crashes:[] ());
             let repro = Diff_fuzz.repro_of_finding w f in
             let path =
-              Filename.concat out
+              save_repro ~out
                 (Printf.sprintf "%s-sc%d-n%d-%d.scsrepro" f.Diff_fuzz.df_workload
                    f.Diff_fuzz.df_lag n f.Diff_fuzz.df_seed)
+                repro
             in
-            ensure_dir out;
-            Fuzz.Repro.save path repro;
             Printf.printf "repro written to %s (replay with `scs replay')\n" path)
           report.Diff_fuzz.dr_findings;
         print_newline ())

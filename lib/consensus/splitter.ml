@@ -1,6 +1,5 @@
 type result = Stop | Left | Right
 
-let result_to_string = function Stop -> "stop" | Left -> "left" | Right -> "right"
 
 module Make (P : Scs_prims.Prims_intf.S) = struct
   type t = { x : int option P.reg; y : bool P.reg }

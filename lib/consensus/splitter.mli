@@ -13,8 +13,6 @@
 
 type result = Stop | Left | Right
 
-val result_to_string : result -> string
-
 module Make (P : Scs_prims.Prims_intf.S) : sig
   type t
 

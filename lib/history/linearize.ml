@@ -243,7 +243,6 @@ let check_sc_operations ?budget (spec : _ Spec.t) ops =
     search spec.Spec.init 0
   end
 
-let check_sc_events ?budget spec evs = check_sc_operations ?budget spec (Trace.operations evs)
 
 (* ---- compositional front-end ------------------------------------------ *)
 

@@ -110,13 +110,6 @@ val check_sc_operations :
     implies SC, and test/test_linearize_diff.ml checks the implication
     property on exactly that class. *)
 
-val check_sc_events :
-  ?budget:int ->
-  ('q, 'i, 'r) Spec.t ->
-  ('i, 'r, 'v) Trace.event array ->
-  bool
-(** [check_sc_operations] composed with {!Trace.operations}. *)
-
 (** {2 Compositional checking}
 
     Linearizability is compositional (Herlihy & Wing; constructive proof

@@ -8,21 +8,6 @@ type ('i, 'r, 'v) event =
   | Abort of { seq : int; ts : int; pid : int; req : 'i Request.t; switch : 'v }
   | Recover of { seq : int; ts : int; pid : int; req : 'i Request.t }
 
-let event_seq = function
-  | Invoke { seq; _ } | Init { seq; _ } | Commit { seq; _ } | Abort { seq; _ }
-  | Recover { seq; _ } ->
-      seq
-
-let event_pid = function
-  | Invoke { pid; _ } | Init { pid; _ } | Commit { pid; _ } | Abort { pid; _ }
-  | Recover { pid; _ } ->
-      pid
-
-let event_req = function
-  | Invoke { req; _ } | Init { req; _ } | Commit { req; _ } | Abort { req; _ }
-  | Recover { req; _ } ->
-      req
-
 type ('i, 'r, 'v) t = { clock : unit -> int; events : ('i, 'r, 'v) event Vec.t }
 
 let create ?clock () =

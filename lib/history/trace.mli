@@ -34,10 +34,6 @@ type ('i, 'r, 'v) event =
           recovery code re-entered the operation: a {e re-invocation} of
           the same request, not a fresh operation — see {!operations} *)
 
-val event_seq : ('i, 'r, 'v) event -> int
-val event_pid : ('i, 'r, 'v) event -> int
-val event_req : ('i, 'r, 'v) event -> 'i Request.t
-
 (** {1 Recording} *)
 
 type ('i, 'r, 'v) t

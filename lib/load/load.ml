@@ -470,13 +470,6 @@ let to_record r =
         };
   }
 
-let pp_result ppf r =
-  Format.fprintf ppf
-    "%-12s d=%d  %9.0f ops/s  p50=%.2fus p99=%.2fus p999=%.2fus  aborts=%d (%.4f/upd) \
-     handoffs=%d resets=%d recycles=%d"
-    (workload_name r.r_workload) r.r_domains r.r_ops_per_sec r.r_p50_us r.r_p99_us r.r_p999_us
-    r.r_aborts r.r_abort_rate r.r_handoffs r.r_resets r.r_recycles
-
 (* ------------------------------------------------------------------ *)
 (* Simulator selfcheck: the same driver code under Sim_prims.          *)
 

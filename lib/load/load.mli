@@ -118,8 +118,6 @@ val to_record : result -> Scs_obs.Trajectory.record
     [schedules_per_sec] mirroring ops/sec, and the [native] sub-record
     populated (see {!Scs_obs.Trajectory.native}). *)
 
-val pp_result : Format.formatter -> result -> unit
-
 (** The backend-agnostic driver layer, exposed for the conformance
     tests. [inst] closures return a flag word: bit 0 = win, bit 1 =
     reset performed, bit 2 = recycle requested; bits 8–15 the op's

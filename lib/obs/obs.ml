@@ -409,18 +409,3 @@ let merge_into ~into src =
         src.r_s2.(idx)
     done
   end
-
-let kind_to_string = function Read -> "read" | Write -> "write" | Rmw -> "rmw"
-
-let event_to_string = function
-  | Step { ts; pid; kind; obj_name; info; _ } ->
-      Printf.sprintf "%4d  p%d  %-5s %s%s" ts pid (kind_to_string kind) obj_name
-        (if info = "" then "" else " (" ^ info ^ ")")
-  | Op_begin { ts; pid; obj; label } ->
-      Printf.sprintf "%4d  p%d  begin %s#%d" ts pid label obj
-  | Op_end { ts; pid; obj; aborted } ->
-      Printf.sprintf "%4d  p%d  end   #%d%s" ts pid obj (if aborted then " ABORT" else "")
-  | Handoff { ts; pid; label } -> Printf.sprintf "%4d  p%d  handoff %s" ts pid label
-  | Crash { ts; pid } -> Printf.sprintf "%4d  p%d  CRASH" ts pid
-  | Recover { ts; pid } -> Printf.sprintf "%4d  p%d  RECOVER" ts pid
-  | Note { ts; text } -> Printf.sprintf "%4d  --  %s" ts text

@@ -183,8 +183,6 @@ val max_interval_contention : t -> int
 val events : t -> event list
 (** Ring contents, oldest first. At most [ring_capacity] entries. *)
 
-val event_to_string : event -> string
-
 (** {2 Merging} *)
 
 val merge_into : into:t -> t -> unit

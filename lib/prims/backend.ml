@@ -30,7 +30,6 @@ let of_string s =
             (Printf.sprintf "unknown backend %S (valid backends: %s)" s
                (String.concat ", " valid_names)))
 
-let is_sim = function Sim_lin | Sim_sc _ -> true | Native -> false
 let lag = function Sim_sc { lag } -> Some lag | Sim_lin | Native -> None
 
 let sim_prims t sim =

@@ -30,8 +30,6 @@ val valid_names : string list
 (** Canonical backend names (["sim-sc:<lag>"] as a pattern), the single
     source for CLI/library error messages and docs. *)
 
-val is_sim : t -> bool
-
 val lag : t -> int option
 (** The SC staleness bound, for [Sim_sc] only. *)
 

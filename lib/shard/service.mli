@@ -43,6 +43,12 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   module R : module type of Router.Make (P)
   module Uc : module type of Scs_universal.Uc_object.Make (P)
 
+  val default_stages :
+    n:int -> (name:string -> slot:int -> 'a Scs_consensus.Consensus_intf.t) list
+  (** The composed split > bakery > cas chain for [n] processes; slot
+      [k] of the UC named [name] is [name.split[k]], [name.bakery[k]],
+      [name.cas[k]]. *)
+
   type t
 
   val create :
@@ -57,8 +63,7 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     t
   (** [capacity] is each shard's [max_requests]; administrative
       requests (freeze/install) consume it too. [stages] defaults to
-      the composed split > bakery > cas chain sized for [n]
-      processes. *)
+      [default_stages ~n]. *)
 
   val router : t -> R.t
   val shards : t -> int

@@ -8,7 +8,6 @@ type t = { pid : int; at : int; recover : int option }
 let terminal ~pid ~at = { pid; at; recover = None }
 let recovering ~pid ~at ~after = { pid; at; recover = Some after }
 let of_pairs ps = List.map (fun (pid, at) -> { pid; at; recover = None }) ps
-let is_recovering c = c.recover <> None
 
 let compare a b =
   let c = Int.compare a.pid b.pid in

@@ -20,7 +20,6 @@ val recovering : pid:int -> at:int -> after:int -> t
 val of_pairs : (int * int) list -> t list
 (** Terminal crash events from the historic [(pid, at)] pair encoding. *)
 
-val is_recovering : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 

@@ -1,4 +1,3 @@
-open Scs_util
 
 type outcome = {
   schedules : int;
@@ -344,13 +343,3 @@ let exhaustive ?(max_schedules = 200_000) ?(max_depth = 10_000) ?(por = false)
     sims_reused = sum (fun c -> c.reused);
     wall_s = Unix.gettimeofday () -. t0;
   }
-
-let random_runs ?(runs = 200) ?(seed = 42) ~n ~setup ~check () =
-  let rng = Rng.create seed in
-  let sim = Sim.create ~n () in
-  for i = 1 to runs do
-    if i > 1 then Sim.clear sim;
-    setup sim;
-    Sim.run sim (Policy.random (Rng.split rng));
-    check sim
-  done

@@ -85,17 +85,3 @@ val exhaustive :
     [obs] at join ({!Scs_obs.Obs.merge_into}, worker-index order):
     counter totals are exact; the bounded ring's surviving events
     depend on which worker picked up which subtree. *)
-
-val random_runs :
-  ?runs:int ->
-  ?seed:int ->
-  n:int ->
-  setup:(Sim.t -> unit) ->
-  check:(Sim.t -> unit) ->
-  unit ->
-  unit
-(** [runs] (default 200) random-schedule simulations with distinct streams
-    derived from [seed] (default 42). All runs reuse one pooled simulator
-    ({!Sim.clear} + [setup] per run) under the allocation-free scheduling
-    loop; schedules are identical to the historic fresh-simulator
-    engine. *)

@@ -57,10 +57,6 @@ let release p sim =
   if Sim.clock sim > s.peak_turns then s.peak_turns <- Sim.clock sim;
   Vec.push p.free sim
 
-let with_sim p f =
-  let sim = acquire p in
-  Fun.protect ~finally:(fun () -> release p sim) (fun () -> f sim)
-
 let stats p = { p.stats with created = p.stats.created }
 let size p = Vec.length p.free
 

@@ -30,9 +30,6 @@ val release : t -> Sim.t -> unit
     actual rewind happens at the next {!acquire}). Do not use the
     simulator after releasing it. *)
 
-val with_sim : t -> (Sim.t -> 'a) -> 'a
-(** [acquire]/[release] bracket, exception-safe. *)
-
 val stats : t -> stats
 (** Snapshot of the counters so far. *)
 

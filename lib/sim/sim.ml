@@ -433,7 +433,6 @@ let set_recovery t pid f =
   t.recov_code.(pid) <- Some f
 
 let has_recovery t pid = t.recov_code.(pid) <> None
-let recovery_due t pid = if t.recover_at.(pid) < 0 then None else Some t.recover_at.(pid)
 let pending_recoveries t = t.pending_recov
 
 (* Re-admit a crashed process: its recovery code runs on a fresh fiber.
@@ -682,15 +681,8 @@ let volatile_objects_allocated t = Vec.length t.volatile_wipes
 let rmws_of t pid = t.rmws.(pid)
 let raw_fences_of t pid = t.raw_fences.(pid)
 let total_rmws t = Array.fold_left ( + ) 0 t.rmws
-let total_raw_fences t = Array.fold_left ( + ) 0 t.raw_fences
 let objects_allocated t = t.next_obj - 1
 let rmw_objects_allocated t = t.rmw_objs
-
-let reset_counters t =
-  Array.fill t.steps 0 t.n 0;
-  Array.fill t.rmws 0 t.n 0;
-  Array.fill t.raw_fences 0 t.n 0;
-  Array.fill t.dirty_write 0 t.n false
 
 let obs t = t.obs
 let set_trace t b = t.record_trace <- b

@@ -215,10 +215,6 @@ val set_recovery : t -> pid -> (unit -> unit) -> unit
 
 val has_recovery : t -> pid -> bool
 
-val recovery_due : t -> pid -> int option
-(** [Some c]: [pid] is crashed and will be re-admitted once {!clock}
-    reaches [c]. [None]: no recovery pending. *)
-
 val pending_recoveries : t -> int
 (** Number of crashed processes currently awaiting re-admission. *)
 
@@ -298,7 +294,6 @@ val total_steps : t -> int
 val rmws_of : t -> pid -> int
 val raw_fences_of : t -> pid -> int
 val total_rmws : t -> int
-val total_raw_fences : t -> int
 val objects_allocated : t -> int
 (** Number of base objects (registers + RMW objects) created so far: the
     space-complexity census. *)
@@ -312,11 +307,6 @@ val total_recoveries : t -> int
 
 val volatile_objects_allocated : t -> int
 (** Number of objects in the volatile tier (wiped by every crash). *)
-
-val reset_counters : t -> unit
-(** Zero step/fence/RMW counters (object census is preserved). Used to
-    measure a window of an execution, e.g. one operation of a long-lived
-    object. *)
 
 (** {1 Tracing} *)
 

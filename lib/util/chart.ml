@@ -21,26 +21,3 @@ let series ?(width = 40) ~title () points =
         (Printf.sprintf "%-*s |%s| %.2f\n" label_w label (bar ~width ~max_value v) v))
     points;
   Buffer.contents buf
-
-let multi_series ?(width = 40) ~title ~labels rows =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf title;
-  Buffer.add_char buf '\n';
-  let max_value =
-    List.fold_left
-      (fun m (_, vs) -> List.fold_left Float.max m vs)
-      0.0 rows
-  in
-  let row_w = List.fold_left (fun m (l, _) -> max m (String.length l)) 0 rows in
-  let col_w = List.fold_left (fun m l -> max m (String.length l)) 0 labels in
-  List.iter
-    (fun (row_label, vs) ->
-      List.iteri
-        (fun i v ->
-          let col = try List.nth labels i with _ -> "" in
-          let lead = if i = 0 then Printf.sprintf "%-*s" row_w row_label else String.make row_w ' ' in
-          Buffer.add_string buf
-            (Printf.sprintf "%s %-*s |%s| %.2f\n" lead col_w col (bar ~width ~max_value v) v))
-        vs)
-    rows;
-  Buffer.contents buf

@@ -7,12 +7,3 @@ val bar : width:int -> max_value:float -> float -> string
 val series :
   ?width:int -> title:string -> unit -> (string * float) list -> string
 (** One labelled bar per data point, with the numeric value appended. *)
-
-val multi_series :
-  ?width:int ->
-  title:string ->
-  labels:string list ->
-  (string * float list) list ->
-  string
-(** Grouped series: each row carries one bar per labelled column, rendered
-    as stacked lines under a shared row label. *)

@@ -61,10 +61,6 @@ let mean_ci95 xs =
   if n < 2 then (m, 0.0)
   else (m, 1.96 *. stddev xs /. sqrt (float_of_int n))
 
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.2f sd=%.2f min=%.0f med=%.1f p95=%.1f p99=%.1f max=%.0f"
-    s.n s.mean s.stddev s.min s.median s.p95 s.p99 s.max
-
 let histogram ?(buckets = 10) xs =
   let n = Array.length xs in
   if n = 0 then []

@@ -30,7 +30,5 @@ val mean_ci95 : float array -> float * float
 (** Mean and its 95% normal-approximation confidence half-width
     (1.96·sd/√n); half-width 0 for n < 2. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val histogram : ?buckets:int -> float array -> (float * float * int) list
 (** [(lo, hi, count)] bucket list spanning [min, max]. *)

@@ -46,5 +46,4 @@ let render ?title ?aligns ~header rows =
 
 let print ?title ?aligns ~header rows = print_string (render ?title ?aligns ~header rows)
 
-let fmt_float ?(digits = 2) x = Printf.sprintf "%.*f" digits x
 let fmt_int n = string_of_int n

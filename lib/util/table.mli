@@ -12,5 +12,4 @@ val render : ?title:string -> ?aligns:align list -> header:string list -> string
 
 val print : ?title:string -> ?aligns:align list -> header:string list -> string list list -> unit
 
-val fmt_float : ?digits:int -> float -> string
 val fmt_int : int -> string

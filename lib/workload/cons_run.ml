@@ -51,6 +51,23 @@ let make_instance (type a) ~algo ~n (module P : Scs_prims.Prims_intf.S)
           CC.instance (CC.create ~name:"chain.cas" ());
         ]
 
+(* One obs bracket per propose; all processes hit the same consensus
+   instance, so interval contention is measured against object 0
+   exactly as Appendix A defines it. *)
+let propose ~obs ~algo (inst : _ Consensus_intf.t) ~pid proposal =
+  Scs_obs.Obs.op_begin obs ~pid ~obj:0 ~label:(algo_name algo);
+  let outcome = inst.Consensus_intf.run ~pid ~old:None proposal in
+  let aborted = match outcome with Outcome.Abort _ -> true | _ -> false in
+  if aborted then Scs_obs.Obs.abort obs ~pid;
+  (match outcome with
+  | Outcome.Abort (Some _) ->
+      (* an adopted switch value: what a chain would hand to the next
+         stage *)
+      Scs_obs.Obs.handoff obs ~pid ~label:"switch"
+  | _ -> ());
+  Scs_obs.Obs.op_end obs ~pid ~aborted;
+  outcome
+
 let run ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?obs ~n ~algo ~policy () =
   let rng = Rng.create seed in
   let sim = Sim.create ?obs ~n () in
@@ -63,20 +80,7 @@ let run ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?obs ~n ~algo ~polic
         let proposal = 100 + pid in
         let s0 = Sim.steps_of sim pid in
         let r0 = Sim.rmws_of sim pid in
-        (* One obs bracket per propose; all processes hit the same
-           consensus instance, so interval contention is measured
-           against object 0 exactly as Appendix A defines it. *)
-        Scs_obs.Obs.op_begin obs ~pid ~obj:0 ~label:(algo_name algo);
-        let outcome = inst.Consensus_intf.run ~pid ~old:None proposal in
-        let aborted = match outcome with Outcome.Abort _ -> true | _ -> false in
-        if aborted then Scs_obs.Obs.abort obs ~pid;
-        (match outcome with
-        | Outcome.Abort (Some _) ->
-            (* an adopted switch value: what a chain would hand to the
-               next stage *)
-            Scs_obs.Obs.handoff obs ~pid ~label:"switch"
-        | _ -> ());
-        Scs_obs.Obs.op_end obs ~pid ~aborted;
+        let outcome = propose ~obs ~algo inst ~pid proposal in
         ops :=
           {
             pid;

@@ -37,6 +37,17 @@ val make_instance :
     pooled {!Obs_run} drivers, which rewind that state between runs
     with [Sim.reset]). *)
 
+val propose :
+  obs:Scs_obs.Obs.t ->
+  algo:algo ->
+  'a Scs_consensus.Consensus_intf.t ->
+  pid:int ->
+  'a ->
+  ('a option, 'a option) Outcome.t
+(** One proposal with no inherited value, bracketed on [obs] under
+    [algo]'s name against object 0: an abort count per [Abort] and a
+    [switch] handoff per adopted switch value. *)
+
 val run :
   ?seed:int ->
   ?backend:Scs_prims.Backend.t ->

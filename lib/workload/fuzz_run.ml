@@ -26,57 +26,41 @@ let get slot = Option.get !slot
 
 (* ---- one-shot TAS workloads ------------------------------------------- *)
 
-type tas_trace = (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t
+type tas_trace = Tas_run.tas_trace
 
-let tas_one_shot_setup ~n ~mk slot sim =
-  let tr : tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
-  slot := Some tr;
-  let op = mk sim in
-  for pid = 0 to n - 1 do
-    Sim.spawn sim pid (fun () ->
-        let req = Request.make pid Objects.Test_and_set in
-        Trace.invoke tr ~pid req;
-        let r = op ~pid in
-        Trace.commit tr ~pid req r)
-  done
+let tas_one_shot_setup ~backend ~n ~algo slot sim =
+  slot := Some (Tas_run.spawn_traced ~backend ~n ~algo sim)
 
 (* The backend's primitive maker: every workload setup goes through it,
    so fuzzing (and differential fuzzing) select sim-linearizable vs
    sim-SC uniformly. *)
 let prims_of backend = Scs_prims.Backend.sim_prims backend
 
-let mk_one_shot ~strict prims sim =
-  let module P = (val prims sim : Scs_prims.Prims_intf.S) in
-  let module OS = Scs_tas.One_shot.Make (P) in
-  let os = OS.create ~strict ~name:"tas" () in
-  fun ~pid -> OS.test_and_set os ~pid
-
-let mk_solo_fast prims sim =
-  let module P = (val prims sim : Scs_prims.Prims_intf.S) in
-  let module SF = Scs_tas.Solo_fast.Make (P) in
-  let sf = SF.create ~name:"sf" () in
-  fun ~pid -> SF.test_and_set sf ~pid
-
 let check_strictly_linearizable what slot _sim =
   let ops = Trace.operations (Trace.events (get slot)) in
   if not (Tas_lin.check_one_shot ops) then violation "%s not strictly linearizable" what
 
-(* F-1 finder: the verbatim composed algorithm against the strict
-   Herlihy–Wing criterion it is known to violate from n = 3 on. *)
-let f1 =
+(* A one-shot TAS workload checked against strict linearizability. *)
+let strict_tas name ~describe ~expect_failures ~algo ~what =
   {
-    name = "f1";
-    describe = "composed A1∘A2 vs strict linearizability (known failing, finding F-1)";
+    name;
+    describe;
     default_n = 4;
-    expect_failures = true;
+    expect_failures;
     instantiate =
       (fun ?(backend = Scs_prims.Backend.default) ~n () ->
         let s = slot () in
         {
-          setup = tas_one_shot_setup ~n ~mk:(mk_one_shot ~strict:false (prims_of backend)) s;
-          check = check_strictly_linearizable "composed A1∘A2" s;
+          setup = tas_one_shot_setup ~backend ~n ~algo s;
+          check = check_strictly_linearizable what s;
         });
   }
+
+(* F-1 finder: the verbatim composed algorithm against the strict
+   Herlihy–Wing criterion it is known to violate from n = 3 on. *)
+let f1 =
+  strict_tas "f1" ~algo:Tas_run.Composed ~what:"composed A1∘A2" ~expect_failures:true
+    ~describe:"composed A1∘A2 vs strict linearizability (known failing, finding F-1)"
 
 (* F-2 finder: Invariant 4 of the Lemma 4 proof on the bare A1 — no
    operation aborting with W may be invoked after a loser committed. *)
@@ -162,38 +146,16 @@ let tas_composed =
             | Ok () -> ()
             | Error e -> violation "no Definition 2 interpretation: %s" e
         in
-        { setup = tas_one_shot_setup ~n ~mk:(mk_one_shot ~strict:false (prims_of backend)) s; check });
+        { setup = tas_one_shot_setup ~backend ~n ~algo:Tas_run.Composed s; check });
   }
 
 let tas_strict =
-  {
-    name = "tas-strict";
-    describe = "strict-variant A1∘A2 vs strict linearizability (finding F-3)";
-    default_n = 4;
-    expect_failures = false;
-    instantiate =
-      (fun ?(backend = Scs_prims.Backend.default) ~n () ->
-        let s = slot () in
-        {
-          setup = tas_one_shot_setup ~n ~mk:(mk_one_shot ~strict:true (prims_of backend)) s;
-          check = check_strictly_linearizable "strict variant" s;
-        });
-  }
+  strict_tas "tas-strict" ~algo:Tas_run.Strict ~what:"strict variant" ~expect_failures:false
+    ~describe:"strict-variant A1∘A2 vs strict linearizability (finding F-3)"
 
 let tas_solo_fast =
-  {
-    name = "tas-solo-fast";
-    describe = "Appendix B solo-fast variant vs strict linearizability";
-    default_n = 4;
-    expect_failures = false;
-    instantiate =
-      (fun ?(backend = Scs_prims.Backend.default) ~n () ->
-        let s = slot () in
-        {
-          setup = tas_one_shot_setup ~n ~mk:(mk_solo_fast (prims_of backend)) s;
-          check = check_strictly_linearizable "solo-fast variant" s;
-        });
-  }
+  strict_tas "tas-solo-fast" ~algo:Tas_run.Solo_fast ~what:"solo-fast variant"
+    ~expect_failures:false ~describe:"Appendix B solo-fast variant vs strict linearizability"
 
 (* ---- splitter --------------------------------------------------------- *)
 
@@ -242,17 +204,8 @@ let consensus_chain =
         let s = slot () in
         let setup sim =
           let module P = (val prims_of backend sim) in
-          let module SC = Scs_consensus.Split_consensus.Make (P) in
-          let module AB = Scs_consensus.Abortable_bakery.Make (P) in
-          let module CC = Scs_consensus.Cas_consensus.Make (P) in
-          let module CH = Scs_consensus.Chain.Make (P) in
           let inst : int Scs_consensus.Consensus_intf.t =
-            CH.make ~name:"chain"
-              [
-                SC.instance (SC.create ~name:"chain.split" ());
-                AB.instance (AB.create ~name:"chain.bakery" ~n ());
-                CC.instance (CC.create ~name:"chain.cas" ());
-              ]
+            Cons_run.make_instance ~algo:Cons_run.Chain3 ~n (module P)
           in
           let outcomes = Array.make n None in
           s := Some outcomes;

@@ -133,9 +133,9 @@ let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
   }
 
 (* Install the target's shared objects and fibers once on [sim] (whose
-   sink is [obs]), with the obs brackets of the [Tas_run.one_shot] /
-   [Cons_run.run] drivers but without their tracing scaffolding: the
-   batch aggregate only reads the sink. All algorithm state lives in
+   sink is [obs]). Tas and Cons targets use the builders and obs
+   brackets of [Tas_run.one_shot] / [Cons_run.run] but none of their
+   tracing scaffolding: the batch aggregate only reads the sink. All algorithm state lives in
    simulator objects, so [Sim.reset] rewinds a finished (or livelocked)
    run back to this installed state; the sharded target's UCs also keep
    host-level cells for their fallback stages, which its rearm hook
@@ -156,64 +156,15 @@ let install ~backend ~obs ~target ~n sim =
             Obs.op_end obs ~pid ~aborted)
       done;
       fun _ -> ()
-  | Tas (Tas_run.Composed | Tas_run.Strict) ->
-      let module OS = Scs_tas.One_shot.Make (P) in
-      let os = OS.create ~strict:(target = Tas Tas_run.Strict) ~name:"tas" () in
+  | Tas algo ->
+      let t = Tas_run.build ~n ~algo (module P) in
       for pid = 0 to n - 1 do
         Sim.spawn sim pid (fun () ->
             Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            (match OS.A1m.apply (OS.a1 os) ~pid None with
-            | Outcome.Commit _ -> ()
-            | Outcome.Abort v -> (
-                Obs.abort obs ~pid;
-                Obs.handoff obs ~pid ~label:"a1->a2";
-                match OS.A2m.apply (OS.a2 os) ~pid (Some v) with
-                | Outcome.Commit _ -> ()
-                | Outcome.Abort _ -> assert false));
+            ignore (Tas_run.test_and_set ~obs t ~pid);
             Obs.op_end obs ~pid ~aborted:false)
       done;
-      fun _ -> ()
-  | Tas Tas_run.Solo_fast ->
-      let module SF = Scs_tas.Solo_fast.Make (P) in
-      let sf = SF.create ~name:"sftas" () in
-      for pid = 0 to n - 1 do
-        Sim.spawn sim pid (fun () ->
-            Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            (match SF.apply_fast sf ~pid None with
-            | Outcome.Commit _ -> ()
-            | Outcome.Abort v -> (
-                Obs.abort obs ~pid;
-                Obs.handoff obs ~pid ~label:"sf->fallback";
-                match SF.apply_fallback sf ~pid (Some v) with
-                | Outcome.Commit _ -> ()
-                | Outcome.Abort _ -> assert false));
-            Obs.op_end obs ~pid ~aborted:false)
-      done;
-      fun _ -> ()
-  | Tas Tas_run.Hardware ->
-      let module B = Scs_tas.Baselines.Make (P) in
-      let hw = B.Hardware.create ~name:"hw" () in
-      for pid = 0 to n - 1 do
-        Sim.spawn sim pid (fun () ->
-            Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            ignore (B.Hardware.test_and_set hw ~pid);
-            Obs.op_end obs ~pid ~aborted:false)
-      done;
-      fun _ -> ()
-  | Tas Tas_run.Tournament ->
-      let module B = Scs_tas.Baselines.Make (P) in
-      let tn = B.Tournament.create ~name:"agtv" ~n () in
-      let rngs = Array.init n (fun i -> Rng.create (i + 1)) in
-      for pid = 0 to n - 1 do
-        Sim.spawn sim pid (fun () ->
-            Obs.op_begin obs ~pid ~obj:0 ~label:"tas";
-            ignore (B.Tournament.test_and_set tn ~pid ~rng:rngs.(pid));
-            Obs.op_end obs ~pid ~aborted:false)
-      done;
-      fun rng ->
-        for i = 0 to n - 1 do
-          rngs.(i) <- Rng.split rng
-        done
+      Tas_run.reseed_coins t
   | Shard ->
       let rearm = install_shard ~backend ~obs ~n sim in
       fun _ -> rearm ()
@@ -221,17 +172,8 @@ let install ~backend ~obs ~target ~n sim =
       let inst : int Scs_consensus.Consensus_intf.t =
         Cons_run.make_instance ~algo ~n (module P)
       in
-      let label = Cons_run.algo_name algo in
       for pid = 0 to n - 1 do
-        Sim.spawn sim pid (fun () ->
-            Obs.op_begin obs ~pid ~obj:0 ~label;
-            let outcome = inst.Scs_consensus.Consensus_intf.run ~pid ~old:None (100 + pid) in
-            let aborted = match outcome with Outcome.Abort _ -> true | _ -> false in
-            if aborted then Obs.abort obs ~pid;
-            (match outcome with
-            | Outcome.Abort (Some _) -> Obs.handoff obs ~pid ~label:"switch"
-            | _ -> ());
-            Obs.op_end obs ~pid ~aborted)
+        Sim.spawn sim pid (fun () -> ignore (Cons_run.propose ~obs ~algo inst ~pid (100 + pid)))
       done;
       fun _ -> ()
 

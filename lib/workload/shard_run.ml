@@ -133,21 +133,11 @@ let sharded_kv_s1 =
 
 let uc_setup ~backend ~n slot sim =
   let module P = (val Scs_prims.Backend.sim_prims backend sim : Scs_prims.Prims_intf.S) in
-  let module Uc = Scs_universal.Uc_object.Make (P) in
-  let module Sc = Scs_consensus.Split_consensus.Make (P) in
-  let module Ab = Scs_consensus.Abortable_bakery.Make (P) in
-  let module Cc = Scs_consensus.Cas_consensus.Make (P) in
-  let spf = Printf.sprintf in
-  let stages =
-    [
-      (fun ~name ~slot -> Sc.instance (Sc.create ~name:(spf "%s.split[%d]" name slot) ()));
-      (fun ~name ~slot -> Ab.instance (Ab.create ~name:(spf "%s.bakery[%d]" name slot) ~n ()));
-      (fun ~name ~slot -> Cc.instance (Cc.create ~name:(spf "%s.cas[%d]" name slot) ()));
-    ]
-  in
+  let module S = Scs_shard.Service.Make (P) in
+  let module Uc = S.Uc in
   let obj =
     Uc.Typed.create (Kv.spec ~buckets:1)
-      (Uc.create ~name:"uckv" ~n ~max_requests:256 ~stages ())
+      (Uc.create ~name:"uckv" ~n ~max_requests:256 ~stages:(S.default_stages ~n) ())
   in
   let tr : kv_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
   slot := Some tr;

@@ -115,6 +115,74 @@ let run_policy ?(crashes = []) sim policy rng =
   Sim.run ~capture:buf ~crashes:(Crash.of_pairs crashes) sim (policy rng);
   Vec.to_array buf
 
+(* ---- the one TAS builder ----------------------------------------------- *)
+
+type tas = {
+  fast : pid:int -> (Objects.tas_resp, Tas_switch.t) Outcome.t;
+  fallback : (pid:int -> Tas_switch.t -> Objects.tas_resp) option;
+  handoff : string;
+  coins : Rng.t array;
+}
+
+let build ~n ~algo (module P : Scs_prims.Prims_intf.S) =
+  let composed ~handoff fast fallback =
+    let fallback ~pid v =
+      match fallback ~pid (Some v) with Outcome.Commit r -> r | Outcome.Abort _ -> assert false
+    in
+    { fast; fallback = Some fallback; handoff; coins = [||] }
+  in
+  let single op =
+    { fast = (fun ~pid -> Outcome.Commit (op ~pid)); fallback = None; handoff = ""; coins = [||] }
+  in
+  match algo with
+  | Composed | Strict ->
+      let module OS = Scs_tas.One_shot.Make (P) in
+      let os = OS.create ~strict:(algo = Strict) ~name:"tas" () in
+      composed ~handoff:"a1->a2"
+        (fun ~pid -> OS.A1m.apply (OS.a1 os) ~pid None)
+        (OS.A2m.apply (OS.a2 os))
+  | Solo_fast ->
+      let module SF = Scs_tas.Solo_fast.Make (P) in
+      let sf = SF.create ~name:"sftas" () in
+      composed ~handoff:"sf->fallback" (fun ~pid -> SF.apply_fast sf ~pid None)
+        (SF.apply_fallback sf)
+  | Hardware ->
+      let module B = Scs_tas.Baselines.Make (P) in
+      single (B.Hardware.test_and_set (B.Hardware.create ~name:"hw" ()))
+  | Tournament ->
+      let module B = Scs_tas.Baselines.Make (P) in
+      let tn = B.Tournament.create ~name:"agtv" ~n () in
+      let coins = Array.init n (fun i -> Rng.create (i + 1)) in
+      { (single (fun ~pid -> B.Tournament.test_and_set tn ~pid ~rng:coins.(pid))) with coins }
+
+let reseed_coins t rng = Array.iteri (fun i _ -> t.coins.(i) <- Rng.split rng) t.coins
+
+let test_and_set ?(obs = Scs_obs.Obs.null) ?(on_switch = ignore) t ~pid =
+  match t.fast ~pid with
+  | Outcome.Commit r -> (r, Option.map (fun _ -> Scs_tas.One_shot.Fast) t.fallback)
+  | Outcome.Abort v ->
+      on_switch v;
+      Scs_obs.Obs.abort obs ~pid;
+      Scs_obs.Obs.handoff obs ~pid ~label:t.handoff;
+      (Option.get t.fallback ~pid v, Some Scs_tas.One_shot.Fallback)
+
+type tas_trace = (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t
+
+let spawn_traced ~backend ~n ~algo sim =
+  let module P = (val Scs_prims.Backend.sim_prims backend sim) in
+  let t = build ~n ~algo (module P) in
+  let tr : tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
+  for pid = 0 to n - 1 do
+    Sim.spawn sim pid (fun () ->
+        let req = Request.make pid Objects.Test_and_set in
+        Trace.invoke tr ~pid req;
+        let r, _ = test_and_set t ~pid in
+        Trace.commit tr ~pid req r)
+  done;
+  tr
+
+(* ---- traced runs -------------------------------------------------------- *)
+
 let one_shot ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem = true)
     ?(crashes = []) ?obs ~n ~algo ~policy () =
   let rng = Rng.create seed in
@@ -122,82 +190,29 @@ let one_shot ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem = t
   Sim.set_trace sim trace_mem;
   let obs = Sim.obs sim in
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
-  let recorder = make_recorder sim in
-  let tr = recorder in
-  (* a per-process closure performing one traced operation *)
-  let op_fn : (pid:int -> Objects.tas_req Request.t -> Objects.tas_resp * Scs_tas.One_shot.stage option) =
-    match algo with
-    | Composed | Strict ->
-        let module OS = Scs_tas.One_shot.Make (P) in
-        let os = OS.create ~strict:(algo = Strict) ~name:"tas" () in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          Trace.invoke tr.rec_a1 ~pid req;
-          (match OS.A1m.apply (OS.a1 os) ~pid None with
-          | Outcome.Commit r ->
-              Trace.commit tr.rec_a1 ~pid req r;
-              Trace.commit tr.rec_outer ~pid req r;
-              (r, Some Scs_tas.One_shot.Fast)
-          | Outcome.Abort v -> (
-              Trace.abort tr.rec_a1 ~pid req v;
-              Scs_obs.Obs.abort obs ~pid;
-              Scs_obs.Obs.handoff obs ~pid ~label:"a1->a2";
-              Trace.init tr.rec_a2 ~pid req v;
-              match OS.A2m.apply (OS.a2 os) ~pid (Some v) with
-              | Outcome.Commit r ->
-                  Trace.commit tr.rec_a2 ~pid req r;
-                  Trace.commit tr.rec_outer ~pid req r;
-                  (r, Some Scs_tas.One_shot.Fallback)
-              | Outcome.Abort _ -> assert false))
-    | Solo_fast ->
-        let module SF = Scs_tas.Solo_fast.Make (P) in
-        let sf = SF.create ~name:"sftas" () in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          Trace.invoke tr.rec_a1 ~pid req;
-          (match SF.apply_fast sf ~pid None with
-          | Outcome.Commit r ->
-              Trace.commit tr.rec_a1 ~pid req r;
-              Trace.commit tr.rec_outer ~pid req r;
-              (r, Some Scs_tas.One_shot.Fast)
-          | Outcome.Abort v -> (
-              Trace.abort tr.rec_a1 ~pid req v;
-              Scs_obs.Obs.abort obs ~pid;
-              Scs_obs.Obs.handoff obs ~pid ~label:"sf->fallback";
-              Trace.init tr.rec_a2 ~pid req v;
-              match SF.apply_fallback sf ~pid (Some v) with
-              | Outcome.Commit r ->
-                  Trace.commit tr.rec_a2 ~pid req r;
-                  Trace.commit tr.rec_outer ~pid req r;
-                  (r, Some Scs_tas.One_shot.Fallback)
-              | Outcome.Abort _ -> assert false))
-    | Hardware ->
-        let module B = Scs_tas.Baselines.Make (P) in
-        let hw = B.Hardware.create ~name:"hw" () in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          let r = B.Hardware.test_and_set hw ~pid in
-          Trace.commit tr.rec_outer ~pid req r;
-          (r, None)
-    | Tournament ->
-        let module B = Scs_tas.Baselines.Make (P) in
-        let tn = B.Tournament.create ~name:"agtv" ~n () in
-        let rngs = Array.init n (fun _ -> Rng.split rng) in
-        fun ~pid req ->
-          Trace.invoke tr.rec_outer ~pid req;
-          let r = B.Tournament.test_and_set tn ~pid ~rng:rngs.(pid) in
-          Trace.commit tr.rec_outer ~pid req r;
-          (r, None)
-  in
+  let tr = make_recorder sim in
+  let t = build ~n ~algo (module P) in
+  reseed_coins t rng;
   for pid = 0 to n - 1 do
     Sim.spawn sim pid (fun () ->
         ignore
-          (record_op sim recorder ~pid (fun req ->
-               let resp, stage = op_fn ~pid req in
-               (resp, stage, 0))))
+          (record_op sim tr ~pid (fun req ->
+               Trace.invoke tr.rec_outer ~pid req;
+               if Option.is_some t.fallback then Trace.invoke tr.rec_a1 ~pid req;
+               let on_switch v =
+                 Trace.abort tr.rec_a1 ~pid req v;
+                 Trace.init tr.rec_a2 ~pid req v
+               in
+               let r, stage = test_and_set ~obs ~on_switch t ~pid in
+               (match stage with
+               | Some Scs_tas.One_shot.Fast -> Trace.commit tr.rec_a1 ~pid req r
+               | Some Scs_tas.One_shot.Fallback -> Trace.commit tr.rec_a2 ~pid req r
+               | None -> ());
+               Trace.commit tr.rec_outer ~pid req r;
+               (r, stage, 0))))
   done;
   let schedule = run_policy ~crashes sim policy (Rng.split rng) in
-  finish sim recorder ~schedule
+  finish sim tr ~schedule
 
 let long_lived ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem = true)
     ?(crashes = []) ?(strict = false) ?obs ~n ~ops_per_proc ~policy () =
@@ -237,45 +252,13 @@ let long_lived ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem =
    setup / run / check sequentially within each worker domain, so
    domain-local state is exactly the right scope for handing the trace
    recorded during the last replay to the check that follows it. *)
-let explore_slot : (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t option Domain.DLS.key
-    =
+let explore_slot : tas_trace option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let explore_one_shot ?max_schedules ?max_depth ?(por = false) ?(domains = 1)
     ?(backend = Scs_prims.Backend.default) ~n ~algo () =
   let bad = Atomic.make 0 in
-  let setup sim =
-    let module P = (val Scs_prims.Backend.sim_prims backend sim) in
-    let tr = Trace.create ~clock:(fun () -> Sim.clock sim) () in
-    Domain.DLS.set explore_slot (Some tr);
-    let op =
-      match algo with
-      | Composed | Strict ->
-          let module OS = Scs_tas.One_shot.Make (P) in
-          let os = OS.create ~strict:(algo = Strict) ~name:"tas" () in
-          fun ~pid -> OS.test_and_set os ~pid
-      | Solo_fast ->
-          let module SF = Scs_tas.Solo_fast.Make (P) in
-          let sf = SF.create ~name:"sf" () in
-          fun ~pid -> SF.test_and_set sf ~pid
-      | Hardware ->
-          let module B = Scs_tas.Baselines.Make (P) in
-          let hw = B.Hardware.create ~name:"hw" () in
-          fun ~pid -> B.Hardware.test_and_set hw ~pid
-      | Tournament ->
-          let module B = Scs_tas.Baselines.Make (P) in
-          let tn = B.Tournament.create ~name:"agtv" ~n () in
-          let rngs = Array.init n (fun i -> Rng.create (i + 1)) in
-          fun ~pid -> B.Tournament.test_and_set tn ~pid ~rng:rngs.(pid)
-    in
-    for pid = 0 to n - 1 do
-      Sim.spawn sim pid (fun () ->
-          let req = Request.make pid Objects.Test_and_set in
-          Trace.invoke tr ~pid req;
-          let r = op ~pid in
-          Trace.commit tr ~pid req r)
-    done
-  in
+  let setup sim = Domain.DLS.set explore_slot (Some (spawn_traced ~backend ~n ~algo sim)) in
   let check _sim _sched =
     let tr = Option.get (Domain.DLS.get explore_slot) in
     if not (Tas_lin.check_one_shot (Trace.operations (Trace.events tr))) then

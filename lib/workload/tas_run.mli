@@ -48,6 +48,52 @@ type result = {
   round_of_req : (int, int) Hashtbl.t;  (** request id → long-lived round *)
 }
 
+(** {1 The one TAS builder}
+
+    Every simulated TAS object is allocated here, whichever engine runs
+    it: the traced runs below, {!Obs_run}'s targets and {!Fuzz_run}'s
+    one-shot workloads. *)
+
+type tas = {
+  fast : pid:int -> (Objects.tas_resp, Tas_switch.t) Outcome.t;
+      (** the fast module, entered with no switch value; a baseline's
+          single module always commits *)
+  fallback : (pid:int -> Tas_switch.t -> Objects.tas_resp) option;
+      (** the module the fast module's switch value initialises; [None]
+          for the baselines *)
+  handoff : string;  (** the obs handoff label at the seam *)
+  coins : Scs_util.Rng.t array;
+      (** per-pid coin streams, [Rng.create (pid + 1)] at build; only the
+          tournament draws coins, every other algorithm has none *)
+}
+
+val build : n:int -> algo:algo -> (module Scs_prims.Prims_intf.S) -> tas
+(** Allocate [algo]'s objects on the primitives module, in the order
+    and under the names every runner uses. *)
+
+val reseed_coins : tas -> Scs_util.Rng.t -> unit
+(** Replace each coin stream, in pid order, by a split of the rng. *)
+
+val test_and_set :
+  ?obs:Scs_obs.Obs.t ->
+  ?on_switch:(Tas_switch.t -> unit) ->
+  tas ->
+  pid:int ->
+  Objects.tas_resp * Scs_tas.One_shot.stage option
+(** The composed operation: the fast module and, on abort, the fallback
+    fed the switch value. An abort first calls [on_switch] (default: no
+    op) and then counts an abort and a handoff on [obs] (default
+    {!Scs_obs.Obs.null}). The stage is [None] for the baselines. *)
+
+type tas_trace = (Objects.tas_req, Objects.tas_resp, Tas_switch.t) Trace.t
+
+val spawn_traced :
+  backend:Scs_prims.Backend.t -> n:int -> algo:algo -> Sim.t -> tas_trace
+(** Build [algo] on the simulator and spawn one traced [test_and_set]
+    per process (request id = pid); returns the client-level trace. *)
+
+(** {1 Traced runs} *)
+
 val one_shot :
   ?seed:int ->
   ?backend:Scs_prims.Backend.t ->

@@ -483,6 +483,49 @@ let test_json_parser () =
       | Error _ -> ())
     [ "{"; "[1,]"; "nul"; "\"unterminated"; "{\"a\" 1}"; "1 2" ]
 
+(* Every engine allocates a TAS algorithm through Tas_run's one builder,
+   so one sequential run leaves the same object names in the census
+   whichever engine drove it: Tas_run.one_shot, Obs_run's target, the
+   traced spawn loop of explore and the fuzz workloads, and the fuzz
+   workload itself where one exists. *)
+let test_one_builder_per_algorithm () =
+  let n = 3 in
+  let sequential _ = Policy.sequential () in
+  let names objects = List.sort compare (List.map (fun (name, _, _) -> name) objects) in
+  let census install =
+    let obs = Obs.create ~n () in
+    let sim = Sim.create ~obs ~n () in
+    install sim;
+    Sim.run sim (Policy.sequential ());
+    names (Obs.objects obs)
+  in
+  List.iter
+    (fun (algo, fuzz_workload) ->
+      let what = Tas_run.algo_name algo in
+      let obs = Obs.create ~n () in
+      ignore (Tas_run.one_shot ~obs ~n ~algo ~policy:sequential ());
+      let one_shot = names (Obs.objects obs) in
+      let list = Alcotest.(list string) in
+      Alcotest.(check bool) (what ^ ": census not empty") true (one_shot <> []);
+      let agg = Obs_run.measure ~runs:1 ~policy:sequential (Obs_run.Tas algo) ~n in
+      Alcotest.check list (what ^ ": Obs_run") one_shot (names agg.Obs_run.objects);
+      let backend = Scs_prims.Backend.default in
+      Alcotest.check list (what ^ ": traced spawn loop") one_shot
+        (census (fun sim -> ignore (Tas_run.spawn_traced ~backend ~n ~algo sim)));
+      Option.iter
+        (fun name ->
+          let w = Option.get (Fuzz_run.find name) in
+          Alcotest.check list (what ^ ": fuzz " ^ name) one_shot
+            (census (w.Fuzz_run.instantiate ~n ()).Fuzz_run.setup))
+        fuzz_workload)
+    [
+      (Tas_run.Composed, Some "tas-composed");
+      (Tas_run.Strict, Some "tas-strict");
+      (Tas_run.Solo_fast, Some "tas-solo-fast");
+      (Tas_run.Hardware, None);
+      (Tas_run.Tournament, None);
+    ]
+
 let tests =
   [
     Alcotest.test_case "known-answer: step contention" `Quick
@@ -509,4 +552,6 @@ let tests =
       test_trajectory_validation_errors;
     Alcotest.test_case "suite pair validation" `Quick test_suite_pair_validation;
     Alcotest.test_case "json parser round-trip and errors" `Quick test_json_parser;
+    Alcotest.test_case "one builder per TAS algorithm" `Quick
+      test_one_builder_per_algorithm;
   ]

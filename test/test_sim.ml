@@ -251,25 +251,6 @@ let test_explore_finds_race () =
   Alcotest.(check bool) "race exhibited" true (!lost > 0);
   Alcotest.(check bool) "clean schedules too" true (!clean > 0)
 
-let test_random_runs_deterministic () =
-  let trace1 = ref [] and trace2 = ref [] in
-  let mk target =
-    let setup sim =
-      let r = Sim.reg sim ~name:"r" 0 in
-      for pid = 0 to 1 do
-        Sim.spawn sim pid (fun () ->
-            let v = Sim.read r in
-            Sim.write r (v + 1))
-      done
-    in
-    Explore.random_runs ~runs:5 ~seed:123 ~n:2 ~setup
-      ~check:(fun sim -> target := Sim.total_steps sim :: !target)
-      ()
-  in
-  mk trace1;
-  mk trace2;
-  Alcotest.(check (list int)) "deterministic" !trace1 !trace2
-
 let test_sticky_policy_runs () =
   let rng = Rng.create 5 in
   let sim = Sim.create ~n:3 () in
@@ -357,7 +338,6 @@ let tests =
     Alcotest.test_case "detect overlap" `Quick test_detect_overlap;
     Alcotest.test_case "explore counts interleavings" `Quick test_explore_counts_interleavings;
     Alcotest.test_case "explore exhibits races" `Quick test_explore_finds_race;
-    Alcotest.test_case "random runs deterministic" `Quick test_random_runs_deterministic;
     Alcotest.test_case "sticky policy" `Quick test_sticky_policy_runs;
     Alcotest.test_case "swap semantics" `Quick test_swap_semantics;
     Alcotest.test_case "weighted policy" `Quick test_weighted_policy;
