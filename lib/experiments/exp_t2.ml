@@ -62,7 +62,9 @@ let run () =
   Table.print
     ~title:
       "Mean per-operation cost over 50 seeds (paper: composed ≈ hardware-free when \
-       uncontended; tournament pays Θ(log n) always; hardware pays 1 AWAR always)"
+       uncontended; only the tournament's winner climbs its Θ(log n) tree, a \
+       process that finds its doorway closed loses in one read; hardware pays 1 AWAR \
+       always)"
     ~header:[ "algorithm"; "schedule"; "n"; "steps"; "RMWs"; "RAWs"; "fast-path %" ]
     rows;
   print_newline ();

@@ -16,18 +16,26 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
   module Tournament = struct
     module Cil = Scs_consensus.Cil_consensus.Make (P)
 
-    (* One consensus node per internal tree node, indexed heap-style:
+    (* A doorway register in front of a tournament tree. A process that
+       finds the door closed loses at once; otherwise it closes the door
+       and climbs. Without the doorway the tree alone is not
+       linearizable: a process can lose at a node and return before the
+       eventual winner is even invoked.
+
+       One consensus node per internal tree node, indexed heap-style:
        node 1 is the root, node [k]'s children are [2k] and [2k+1].
        Leaves are [leaves + pid]. A process climbs from its leaf; at each
        node it plays the side it arrived from (0 = left child, 1 = right).
        At most one process arrives per side (subtree winners are unique),
        so two-process consensus per node suffices. *)
-    type t = { nodes : int Cil.t array; leaves : int }
+    type t = { door : bool P.reg; nodes : int Cil.t array; leaves : int }
 
     let create ~name ~n () =
       let rec pow2 k = if k >= n then k else pow2 (2 * k) in
       let leaves = pow2 1 in
+      let door = P.reg ~name:(name ^ ".door") false in
       {
+        door;
         nodes =
           Array.init leaves (fun i ->
               Cil.create ~name:(Printf.sprintf "%s.node[%d]" name i) ());
@@ -45,6 +53,10 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
           if decided = side then climb parent else Objects.Loser
         end
       in
-      climb (t.leaves + pid)
+      if P.read t.door then Objects.Loser
+      else begin
+        P.write t.door true;
+        climb (t.leaves + pid)
+      end
     end
 end

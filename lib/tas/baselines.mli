@@ -5,9 +5,12 @@
       degrades to under permanent contention; one AWAR per operation even
       when uncontended).
     - {!Make.Tournament}: an Afek–Gafni–Tromp–Vitányi-style wait-free TAS
-      from registers only: a binary tournament tree whose nodes are
-      randomized two-process consensus instances ({!Scs_consensus.Cil_consensus}).
-      O(log n) expected steps per operation, O(n) space, no RMW at all. *)
+      from registers only: a doorway register in front of a binary
+      tournament tree whose nodes are randomized two-process consensus
+      instances ({!Scs_consensus.Cil_consensus}). A process that finds
+      the door closed loses in one read; only processes that passed the
+      doorway climb, in O(log n) expected steps. O(n) space, no RMW at
+      all. *)
 
 open Scs_spec
 
