@@ -26,11 +26,6 @@ let get slot = Option.get !slot
 
 (* ---- one-shot TAS workloads ------------------------------------------- *)
 
-type tas_trace = Tas_run.tas_trace
-
-let tas_one_shot_setup ~backend ~n ~algo slot sim =
-  slot := Some (Tas_run.spawn_traced ~backend ~n ~algo sim)
-
 (* The backend's primitive maker: every workload setup goes through it,
    so fuzzing (and differential fuzzing) select sim-linearizable vs
    sim-SC uniformly. *)
@@ -51,7 +46,7 @@ let strict_tas name ~describe ~expect_failures ~algo ~what =
       (fun ?(backend = Scs_prims.Backend.default) ~n () ->
         let s = slot () in
         {
-          setup = tas_one_shot_setup ~backend ~n ~algo s;
+          setup = (fun sim -> s := Some (Tas_run.spawn_traced ~backend ~n ~algo sim));
           check = check_strictly_linearizable what s;
         });
   }
@@ -77,7 +72,7 @@ let f2 =
           let module P = (val prims_of backend sim) in
           let module A1 = Scs_tas.A1.Make (P) in
           let a1 = A1.create ~name:"a1" () in
-          let tr : tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
+          let tr : Tas_run.tas_trace = Trace.create ~clock:(fun () -> Sim.clock sim) () in
           s := Some tr;
           for pid = 0 to n - 1 do
             Sim.spawn sim pid (fun () ->
@@ -146,7 +141,11 @@ let tas_composed =
             | Ok () -> ()
             | Error e -> violation "no Definition 2 interpretation: %s" e
         in
-        { setup = tas_one_shot_setup ~backend ~n ~algo:Tas_run.Composed s; check });
+        {
+          setup =
+            (fun sim -> s := Some (Tas_run.spawn_traced ~backend ~n ~algo:Tas_run.Composed sim));
+          check;
+        });
   }
 
 let tas_strict =

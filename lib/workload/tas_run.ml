@@ -159,7 +159,7 @@ let reseed_coins t rng = Array.iteri (fun i _ -> t.coins.(i) <- Rng.split rng) t
 
 let test_and_set ?(obs = Scs_obs.Obs.null) ?(on_switch = ignore) t ~pid =
   match t.fast ~pid with
-  | Outcome.Commit r -> (r, Option.map (fun _ -> Scs_tas.One_shot.Fast) t.fallback)
+  | Outcome.Commit r -> (r, if Option.is_some t.fallback then Some Scs_tas.One_shot.Fast else None)
   | Outcome.Abort v ->
       on_switch v;
       Scs_obs.Obs.abort obs ~pid;
@@ -192,6 +192,7 @@ let one_shot ?(seed = 42) ?(backend = Scs_prims.Backend.default) ?(trace_mem = t
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
   let tr = make_recorder sim in
   let t = build ~n ~algo (module P) in
+  (* the tournament's coins come from the run rng, ahead of the policy's *)
   reseed_coins t rng;
   for pid = 0 to n - 1 do
     Sim.spawn sim pid (fun () ->
