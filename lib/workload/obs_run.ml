@@ -135,11 +135,11 @@ let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
 (* Install the target's shared objects and fibers once on [sim] (whose
    sink is [obs]). Tas and Cons targets use the builders and obs
    brackets of [Tas_run.one_shot] / [Cons_run.run] but none of their
-   tracing scaffolding: the batch aggregate only reads the sink. All algorithm state lives in
-   simulator objects, so [Sim.reset] rewinds a finished (or livelocked)
-   run back to this installed state; the sharded target's UCs also keep
-   host-level cells for their fallback stages, which its rearm hook
-   clears. Returns the per-run rearm hook, fed the run's derived rng
+   tracing scaffolding: the batch aggregate only reads the sink. All
+   algorithm state lives in simulator objects, so [Sim.reset] rewinds a
+   finished (or livelocked) run back to this installed state; the
+   sharded target's UCs also keep host-level cells for their fallback
+   stages, which its rearm hook clears. Returns the per-run rearm hook, fed the run's derived rng
    for targets whose operations consume randomness. *)
 let install ~backend ~obs ~target ~n sim =
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
