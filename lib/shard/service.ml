@@ -181,19 +181,21 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
   module Batcher = struct
     type svc = t
 
-    type cell = {
-      c_req : Kv.req Request.t;
-      c_bucket : int;
-      c_shard : int;
-      c_resp : Kv.resp option P.reg;  (** volatile: a DRAM mailbox *)
-    }
+    (* A process's mailbox: the combiner writes [Some (id, resp)] for
+       request [id]. Submitters match on their current request id, so a
+       mailbox is never reset. *)
+    type box = (int * Kv.resp) option P.reg
+
+    type cell = { c_req : Kv.req Request.t; c_bucket : int; c_box : box }
 
     type t = {
       svc : svc;
       name : string;
       queues : cell list P.cas_obj array;  (** Treiber stacks, one per shard *)
       locks : P.tas_obj array;  (** combiner locks *)
-      cells : int Atomic.t;  (** harness bookkeeping: unique mailbox names *)
+      boxes : box option array;
+          (** per pid, volatile (DRAM) mailboxes; slot [p] is created
+              and read only by process [p] *)
       n_batches : int Atomic.t;
       served : int Atomic.t array;  (** per shard: cells answered with a result *)
       n_refused : int Atomic.t;  (** cells answered [Refused] (retried) *)
@@ -206,7 +208,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         queues =
           Array.init (shards svc) (fun s -> P.cas_obj ~name:(spf "%s.q[%d]" name s) []);
         locks = Array.init (shards svc) (fun s -> P.tas_obj ~name:(spf "%s.lock[%d]" name s) ());
-        cells = Atomic.make 0;
+        boxes = Array.make svc.n None;
         n_batches = Atomic.make 0;
         served = Array.init (shards svc) (fun _ -> Atomic.make 0);
         n_refused = Atomic.make 0;
@@ -218,6 +220,17 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
 
     let batched_ops t =
       Array.fold_left (fun acc c -> acc + Atomic.get c) (refused_ops t) t.served
+
+    (* Created by its owner on its first submit, so that a mailbox
+       belongs to the process (and, natively, the domain) that waits on
+       it. *)
+    let box t ~pid =
+      match t.boxes.(pid) with
+      | Some b -> b
+      | None ->
+          let b = P.volatile_reg ~name:(t.name ^ ".cell" ^ idx pid) None in
+          t.boxes.(pid) <- Some b;
+          b
 
     let rec push q cell =
       let old = P.cas_read q in
@@ -236,25 +249,35 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
             grab q
           end
 
-    (* Drain one shard's queue through the combiner's own handle. Each
-       cell's route is revalidated at apply time: the submitter chose
-       the shard before queueing, and a migration may have frozen or
-       moved the bucket since. *)
+    (* Each cell's route is revalidated at apply time: the submitter
+       chose the shard before queueing, and a migration may have frozen
+       or moved the bucket since. Returns the cell's mailbox and its
+       answer. *)
+    let serve t ~h shard c =
+      let r = R.route_bucket (router t.svc) ~bucket:c.c_bucket in
+      let resp =
+        if r.R.frozen || r.R.owner <> shard then Kv.Refused else apply_on h ~shard c.c_req
+      in
+      Atomic.incr (match resp with Kv.Refused -> t.n_refused | _ -> t.served.(shard));
+      (c.c_box, Some (Request.id c.c_req, resp))
+
+    (* Drain one shard's queue through the combiner's own handle,
+       re-grabbing after each batch: cells pushed while the combiner was
+       busy are served before it releases the lock. Returns the answers;
+       the caller writes them once it has released the lock, so no
+       process can push a second cell during a drain and a drain makes
+       at most [n] non-empty grabs. The pass limit states that bound. *)
     let drain t ~h shard =
-      match grab t.queues.(shard) with
-      | [] -> ()
-      | batch ->
-          Atomic.incr t.n_batches;
-          List.iter
-            (fun c ->
-              let r = R.route_bucket (router t.svc) ~bucket:c.c_bucket in
-              let resp =
-                if r.R.frozen || r.R.owner <> shard then Kv.Refused
-                else apply_on h ~shard c.c_req
-              in
-              Atomic.incr (match resp with Kv.Refused -> t.n_refused | _ -> t.served.(shard));
-              P.write c.c_resp (Some resp))
-            batch
+      let rec pass k answers =
+        if k = t.svc.n then answers
+        else
+          match grab t.queues.(shard) with
+          | [] -> answers
+          | batch ->
+              Atomic.incr t.n_batches;
+              pass (k + 1) (List.rev_append (List.map (serve t ~h shard) batch) answers)
+      in
+      pass 0 []
 
     let apply ?(retries = default_retries) t ~h payload =
       let key =
@@ -263,6 +286,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         | None -> invalid_arg "Batcher.apply: administrative request; use apply_on"
       in
       let bucket = Kv.bucket_of_key ~buckets:(buckets t.svc) key in
+      let box = box t ~pid:h.pid in
       let rec go attempts =
         if attempts >= retries then Gave_up
         else
@@ -272,25 +296,23 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
             go (attempts + 1)
           end
           else begin
-            let cell =
-              {
-                c_req = fresh_req h payload;
-                c_bucket = bucket;
-                c_shard = r.R.owner;
-                c_resp =
-                  P.volatile_reg
-                    ~name:(spf "%s.cell[%d]" t.name (Atomic.fetch_and_add t.cells 1))
-                    None;
-              }
-            in
-            push t.queues.(r.R.owner) cell;
+            let shard = r.R.owner in
+            let req = fresh_req h payload in
+            push t.queues.(shard) { c_req = req; c_bucket = bucket; c_box = box };
+            let id = Request.id req and lock = t.locks.(shard) in
+            (* test-and-test-and-set: only a lock that reads free is
+               worth the RMW. The answers go out after the release, so
+               the combiner is back at the queue before the processes
+               it served and usually keeps the role (docs/sharding.md
+               §4). *)
             let rec wait () =
-              match P.read cell.c_resp with
-              | Some resp -> resp
-              | None ->
-                  if P.test_and_set t.locks.(r.R.owner) then begin
-                    drain t ~h r.R.owner;
-                    P.tas_reset t.locks.(r.R.owner)
+              match P.read box with
+              | Some (id', resp) when id' = id -> resp
+              | _ ->
+                  if (not (P.tas_read lock)) && P.test_and_set lock then begin
+                    let answers = drain t ~h shard in
+                    P.tas_reset lock;
+                    List.iter (fun (box, answer) -> P.write box answer) answers
                   end
                   else P.pause ();
                   wait ()

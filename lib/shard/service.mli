@@ -162,18 +162,32 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       simulator selfcheck covers it.
 
       A submitter pushes a cell onto its shard's Treiber stack and
-      spins: if its response has landed it returns, otherwise it
-      try-acquires the shard's combiner lock and, on success, drains
-      the whole queue through its {e own} universal-construction
+      spins: if its mailbox holds its request's response it returns;
+      otherwise it reads the shard's combiner lock and, only if the
+      lock reads free, tries to take it (test-and-test-and-set). The
+      winner drains the queue through its {e own} universal-construction
       handle — one process proposing a batch back-to-back, so the
-      consensus fast path stays solo and the bakery/cas fallbacks
-      stay cold. Self-service on the spin path makes the scheme
+      consensus fast path stays solo and the bakery/cas fallbacks stay
+      cold — and re-grabs after each batch until the queue is empty or
+      after [n] passes, so that cells pushed while it worked are served
+      before it releases. It writes the answers only after releasing
+      the lock: a served process cannot push again during the drain, so
+      the combiner's own op returns after at most [n] cells, and the
+      combiner, back at the queue first, usually keeps the role, which
+      spares the served processes' UC handles most catch-up walks.
+      Self-service on the spin path makes the scheme
       deadlock-free: a cell never waits on a combiner that is not
       running (the submitter becomes one). Route changes between
       submit and drain are caught by the combiner revalidating each
       cell's bucket; stale cells answer [Refused] and the submitter
-      re-routes, exactly like the unbatched path. Not crash-safe (the
-      queues are volatile); the crash fuzz workloads drive the service
+      re-routes, exactly like the unbatched path.
+
+      Each process has one volatile mailbox register, named
+      [<name>.cell[<pid>]] and created by that process on its first
+      submit. The combiner writes [Some (request id, response)]; the
+      submitter waits for its current request's id, so the mailbox is
+      never reset. Not crash-safe (the queues and mailboxes are
+      volatile); the crash fuzz workloads drive the service
       directly. *)
   module Batcher : sig
     type svc := t
@@ -185,7 +199,8 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     (** Same contract as {!val:apply}, through the combining layer. *)
 
     val batches : t -> int
-    (** Combiner drains executed so far (harness-visible counter). *)
+    (** Non-empty queue grabs so far (harness-visible counter): one per
+        pass of a combiner's drain. *)
 
     val batched_ops : t -> int
     (** Cells served across all drains; [batched_ops / batches] is the

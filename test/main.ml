@@ -22,6 +22,7 @@ let () =
       ("hist", Test_hist.tests);
       ("load", Test_load.tests);
       ("shard", Test_shard.tests);
+      ("batcher", Test_shard.battery_tests);
       ("policy", Test_policy.tests);
       ("properties", Test_props.tests);
       ("fuzz", Test_fuzz.tests);

@@ -218,31 +218,187 @@ let test_batcher_two_domains_migrating () =
         last)
     results
 
+(* ---- the batcher under chosen schedules ------------------------------- *)
+
+module Sim = Scs_sim.Sim
+module Policy = Scs_sim.Policy
+module Trace = Scs_history.Trace
+
+type batcher_run = {
+  sim : Sim.t;  (** its memory trace is kept *)
+  ops : (Kv.req, Kv.resp, unit) Trace.operation list;
+  served : int;  (** summed over the shards *)
+  batches : int;
+  completed : int;
+}
+
+(* [scripts.(pid)] through one simulated batcher named "bat" (mailboxes
+   "bat.cell[p]", locks "bat.lock[s]") over a service named "svc", each
+   op recorded in a client trace. *)
+let run_batcher ~shards ~buckets scripts policy =
+  let n = Array.length scripts in
+  let sim = Sim.create ~n () in
+  Sim.set_trace sim true;
+  let module Sp = (val Scs_prims.Backend.sim_prims Scs_prims.Backend.default sim) in
+  let module Ss = Scs_shard.Service.Make (Sp) in
+  let svc = Ss.create ~name:"svc" ~n ~shards ~buckets ~capacity:64 () in
+  let bat = Ss.Batcher.create ~name:"bat" svc in
+  let tr = Trace.create ~clock:(fun () -> Sim.clock sim) () in
+  let gen = Request.Gen.create () and completed = ref 0 in
+  Array.iteri
+    (fun pid script ->
+      Sim.spawn sim pid (fun () ->
+          let h = Ss.handle svc ~pid in
+          List.iter
+            (fun payload ->
+              let rq = Request.Gen.fresh gen payload in
+              Trace.invoke tr ~pid rq;
+              match Ss.Batcher.apply bat ~h payload with
+              | Ss.Done resp ->
+                  incr completed;
+                  Trace.commit tr ~pid rq resp
+              | Ss.Gave_up -> Alcotest.failf "p%d gave up with no migration" pid)
+            script))
+    scripts;
+  Sim.run sim policy;
+  {
+    sim;
+    ops = Trace.operations (Trace.events tr);
+    served = List.fold_left (fun acc shard -> acc + Ss.Batcher.served_ops bat ~shard) 0
+        (List.init shards Fun.id);
+    batches = Ss.Batcher.batches bat;
+    completed = !completed;
+  }
+
+(* steps in [sim]'s memory trace that satisfy [f] *)
+let steps sim f =
+  Array.fold_left (fun acc e -> if f e then acc + 1 else acc) 0 (Sim.trace_arr sim)
+
+let step_is ~pid ~kind ~obj (e : Scs_sim.Mem_event.t) =
+  e.pid = pid && e.kind = kind && e.obj_name = obj
+
+(* Mailbox writes by a process other than the mailbox's owner: cells a
+   combiner served for someone else. *)
+let foreign_box_write (e : Scs_sim.Mem_event.t) =
+  e.kind = Scs_sim.Op.Write
+  && Scanf.sscanf_opt e.obj_name "bat.cell[%d]" (fun owner -> owner <> e.pid) = Some true
+
 (* The same batcher code under the simulator, randomly interleaved:
    every process writes and reads back its own key, and the shards'
    served counts account for every op. *)
 let test_batcher_sim () =
   let n = 3 in
-  let sim = Scs_sim.Sim.create ~n () in
-  let module Sp = (val Scs_prims.Backend.sim_prims Scs_prims.Backend.default sim) in
-  let module Ss = Scs_shard.Service.Make (Sp) in
-  let svc = Ss.create ~name:"svc" ~n ~shards:2 ~buckets:4 ~capacity:64 () in
-  let bat = Ss.Batcher.create ~name:"bat" svc in
-  let got = Array.make n None in
-  for pid = 0 to n - 1 do
-    Scs_sim.Sim.spawn sim pid (fun () ->
-        let h = Ss.handle svc ~pid in
-        ignore (Ss.Batcher.apply bat ~h (Kv.Put (pid, pid + 10)));
-        got.(pid) <- Some (Ss.Batcher.apply bat ~h (Kv.Get pid)))
+  let run =
+    run_batcher ~shards:2 ~buckets:4
+      (Array.init n (fun pid -> [ Kv.Put (pid, pid + 10); Kv.Get pid ]))
+      (Policy.random (Scs_util.Rng.create 5))
+  in
+  List.iter
+    (fun (o : _ Trace.operation) ->
+      match (Request.payload o.Trace.op_req, o.Trace.outcome) with
+      | Kv.Put _, Trace.Committed { resp = Kv.Ack; _ } -> ()
+      | Kv.Get pid, Trace.Committed { resp = Kv.Value v; _ } when v = pid + 10 -> ()
+      | _ -> Alcotest.failf "p%d: wrong or missing read-back" o.Trace.op_pid)
+    run.ops;
+  Alcotest.(check int) "every op completed" (2 * n) run.completed;
+  Alcotest.(check int) "every op served once" (2 * n) run.served
+
+(* While p0 holds shard 0's lock and applies its own cell, p1 pushes
+   and spins. p0's re-grab serves p1's cell before p0 releases, p0
+   writes p1's answer only after the release, and p1, reading the lock
+   held, never tries the RMW. The schedule: p0 until
+   its first step inside the shard's UC; p1 until its first pause (it
+   found its mailbox empty, then the lock held); p0 to the end; p1 to
+   the end. *)
+let test_batcher_regrab () =
+  let open Scs_sim.Op in
+  let in_uc (e : Scs_sim.Mem_event.t) =
+    e.pid = 0 && String.starts_with ~prefix:"svc.shard[" e.obj_name
+  in
+  let phases =
+    [|
+      (0, fun sim -> steps sim in_uc > 0);
+      (1, fun sim -> steps sim (step_is ~pid:1 ~kind:Read ~obj:"pause") > 0);
+      (0, fun sim -> Sim.finished sim 0);
+      (1, fun sim -> Sim.finished sim 1);
+    |]
+  in
+  let phase = ref 0 in
+  let policy sim =
+    while !phase < Array.length phases && (snd phases.(!phase)) sim do
+      incr phase
+    done;
+    if !phase = Array.length phases then -1
+    else
+      let pid = fst phases.(!phase) in
+      if Sim.is_runnable sim pid then pid else -1
+  in
+  let run =
+    run_batcher ~shards:1 ~buckets:1 [| [ Kv.Put (0, 1) ]; [ Kv.Put (1, 2) ] |] policy
+  in
+  Alcotest.(check bool) "schedule ran to the end" true (Sim.all_done run.sim);
+  Alcotest.(check int) "both ops completed" 2 run.completed;
+  Alcotest.(check int) "p1 tried no test_and_set" 0
+    (steps run.sim (step_is ~pid:1 ~kind:Rmw ~obj:"bat.lock[0]"));
+  Alcotest.(check int) "p0 wrote p1's mailbox" 1
+    (steps run.sim (step_is ~pid:0 ~kind:Write ~obj:"bat.cell[1]"));
+  Alcotest.(check int) "p0 served both cells in two grabs" 2 run.batches;
+  let first f =
+    let tr = Sim.trace_arr run.sim in
+    let rec go i = if i = Array.length tr then max_int else if f tr.(i) then i else go (i + 1) in
+    go 0
+  in
+  Alcotest.(check bool) "p0 answered p1 after releasing the lock" true
+    (first (step_is ~pid:0 ~kind:Write ~obj:"bat.lock[0]")
+    < first (step_is ~pid:0 ~kind:Write ~obj:"bat.cell[1]"))
+
+(* Seeded schedules over 3 processes, 2 keys that every process shares
+   and 2 shards (one key per shard): each client history must be
+   linearizable per key, every completed op is served exactly once,
+   and some combiner serves another process's cell. Half the schedules
+   are uniformly random; the other half are PCT priority schedules for
+   their first [pct_depth] turns and uniformly random after. The
+   batcher is blocking, so a fixed priority order can leave the lock
+   holder unscheduled forever; the random tail lets every run end. *)
+let battery_runs = 200
+let pct_depth = 400
+
+let test_batcher_battery () =
+  let rng = Test_seed.rng 20 in
+  let k0 = 0 in
+  let k1 =
+    let b0 = Kv.bucket_of_key ~buckets:2 k0 in
+    let rec find k = if Kv.bucket_of_key ~buckets:2 k <> b0 then k else find (k + 1) in
+    find 1
+  in
+  let script pid =
+    List.init 4 (fun i ->
+        let key = if Scs_util.Rng.bool rng then k0 else k1 in
+        if Scs_util.Rng.bool rng then Kv.Put (key, (100 * pid) + i + 1) else Kv.Get key)
+  in
+  let key (o : _ Trace.operation) = Option.get (Kv.key_of_req (Request.payload o.Trace.op_req)) in
+  let foreign = ref 0 in
+  let one name i policy =
+    let scripts = Array.init 3 script in
+    let run = run_batcher ~shards:2 ~buckets:2 scripts policy in
+    let fail fmt = Alcotest.failf ("%s schedule %d: " ^^ fmt ^^ "%s") name i in
+    if run.completed <> 12 then fail "%d of 12 ops completed" run.completed Test_seed.label;
+    if run.served <> run.completed then
+      fail "shards served %d, %d completed" run.served run.completed Test_seed.label;
+    if not (Scs_history.Linearize.check_partitioned ~key ~spec:(fun _ -> Kv.flat_spec) run.ops)
+    then fail "not linearizable per key" Test_seed.label;
+    foreign := !foreign + steps run.sim foreign_box_write
+  in
+  for i = 1 to battery_runs do
+    one "random" i (Policy.random (Scs_util.Rng.split rng))
   done;
-  Scs_sim.Sim.run sim (Scs_sim.Policy.random (Scs_util.Rng.create 5));
-  Array.iteri
-    (fun pid -> function
-      | Some (Ss.Done (Kv.Value v)) when v = pid + 10 -> ()
-      | _ -> Alcotest.failf "p%d: wrong or missing read-back" pid)
-    got;
-  Alcotest.(check int) "every op served once" (2 * n)
-    (Ss.Batcher.served_ops bat ~shard:0 + Ss.Batcher.served_ops bat ~shard:1)
+  for i = 1 to battery_runs do
+    let pct = Policy.pct (Scs_util.Rng.split rng) ~k:3 ~depth:pct_depth in
+    let tail = Policy.random (Scs_util.Rng.split rng) in
+    one "pct" i (fun sim -> if Sim.clock sim < pct_depth then pct sim else tail sim)
+  done;
+  if !foreign = 0 then
+    Alcotest.failf "no combiner served another process's cell%s" Test_seed.label
 
 (* ---- 1-shard differential identity ----------------------------------- *)
 
@@ -352,6 +508,8 @@ let tests =
       Alcotest.test_case "batcher: two domains, two shards, migrating" `Quick
         test_batcher_two_domains_migrating;
       Alcotest.test_case "batcher under the simulator" `Quick test_batcher_sim;
+      Alcotest.test_case "batcher: a re-grab serves a waiter that never locks" `Quick
+        test_batcher_regrab;
       Alcotest.test_case "1-shard service ≡ bare UC (response identity)" `Quick
         test_s1_identity;
       Alcotest.test_case "fuzz: migrating service (uniform)" `Slow test_fuzz_migrate;
@@ -360,3 +518,7 @@ let tests =
         test_fuzz_migrate_recover;
       Alcotest.test_case "fuzz: differential pair both clean" `Slow test_fuzz_s1_vs_uc;
     ]
+
+(* run on its own under fixed seeds in CI *)
+let battery_tests =
+  [ Alcotest.test_case "batcher: seeded random and PCT schedules" `Quick test_batcher_battery ]
