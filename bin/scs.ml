@@ -20,8 +20,26 @@ open Scs_workload
 
 (* ---- shared args ------------------------------------------------------ *)
 
+(* An integer in [lo, hi]: out-of-range values are usage errors, not
+   exceptions (or vacuous runs) deep inside a command *)
+let int_in ~lo ~hi =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when lo <= v && v <= hi -> Ok v
+    | Some _ when hi = max_int -> Error (`Msg (Printf.sprintf "%s is below %d" s lo))
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not in %d..%d" s lo hi))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let procs_conv = int_in ~lo:1 ~hi:Sim.max_processes
+let positive_conv = int_in ~lo:1 ~hi:max_int
+
 let n_arg =
-  Arg.(value & opt int 4 & info [ "n"; "processes" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(
+    value & opt procs_conv 4
+    & info [ "n"; "processes" ] ~docv:"N"
+        ~doc:(Printf.sprintf "Number of processes (1..%d)." Sim.max_processes))
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -85,8 +103,9 @@ let backend_arg =
 (* -n for commands that run many workloads: each defaults to its own *)
 let n_opt_arg =
   Arg.(
-    value & opt (some int) None
-    & info [ "n"; "processes" ] ~docv:"N" ~doc:"Process count (default: per workload).")
+    value & opt (some procs_conv) None
+    & info [ "n"; "processes" ] ~docv:"N"
+        ~doc:(Printf.sprintf "Process count, 1..%d (default: per workload)." Sim.max_processes))
 
 let out_arg =
   Arg.(
@@ -351,7 +370,7 @@ let explore_cmd =
 
 (* ---- fuzz ------------------------------------------------------------------ *)
 
-let print_fuzz_report ?(pool_stats = false) (r : Fuzz.report) =
+let print_fuzz_report (r : Fuzz.report) =
   let rows =
     List.map
       (fun (s : Fuzz.policy_stats) ->
@@ -382,13 +401,7 @@ let print_fuzz_report ?(pool_stats = false) (r : Fuzz.report) =
         "policy"; "runs"; "sched/s"; "gen/s"; "check/s"; "p50 st"; "p99 st"; "maxC";
         "viol"; "skip"; "large"; "first failure";
       ]
-    rows;
-  if pool_stats then begin
-    let p = r.Fuzz.r_pool in
-    Printf.printf
-      "pool: %d fresh simulator(s), %d pooled reuse(s), peak %d objects, peak %d turns\n"
-      p.Pool.created p.Pool.reused p.Pool.peak_objects p.Pool.peak_turns
-  end
+    rows
 
 let fuzz_cmd =
   let workload_arg =
@@ -415,28 +428,14 @@ let fuzz_cmd =
       value & opt int 1
       & info [ "max-violations" ] ~docv:"M" ~doc:"Stop a workload after $(docv) violations.")
   in
-  let check_domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "check-domains" ] ~docv:"D"
-          ~doc:
-            "Verify runs on $(docv) domains in parallel (1 = inline, fully \
-             deterministic).")
-  in
   let gen_domains_arg =
     Arg.(
       value & opt int 1
       & info [ "gen-domains" ] ~docv:"D"
           ~doc:
-            "Generate schedules on $(docv) domains in parallel, each with its own \
-             seed stream and pooled simulator (1 = the legacy sequential stream).")
-  in
-  let stats_flag_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print simulator-pool statistics (fresh creates vs pooled reuses, \
-                peak arena sizes) after each report.")
+            "Generate and check schedules on $(docv) domains in parallel, each with \
+             its own seed stream and simulator (1 = the sequential stream, fully \
+             deterministic).")
   in
   let policy_arg =
     let portfolio_conv =
@@ -464,7 +463,7 @@ let fuzz_cmd =
                (String.concat ", " Fuzz.portfolio_names)))
   in
   let run workload list_workloads n_opt runs budget max_violations seed backend
-      (_, policies) out no_shrink check_domains gen_domains pool_stats =
+      (_, policies) out no_shrink gen_domains =
     if list_workloads then begin
       List.iter
         (fun (w : Fuzz_run.t) ->
@@ -481,9 +480,9 @@ let fuzz_cmd =
         let n = Option.value n_opt ~default:w.Fuzz_run.default_n in
         let report =
           Fuzz_run.fuzz ~backend ~policies ?time_budget:budget ~runs ~max_violations
-            ~seed ~check_domains ~gen_domains w ~n
+            ~seed ~gen_domains w ~n
         in
-        print_fuzz_report ~pool_stats report;
+        print_fuzz_report report;
         List.iter
           (fun (v : Fuzz.violation) ->
             incr found;
@@ -523,8 +522,7 @@ let fuzz_cmd =
           when violations were found).")
     Term.(
       const run $ workload_arg $ list_arg $ n_opt_arg $ runs_arg $ budget_arg $ max_viol_arg
-      $ seed_arg $ backend_arg $ policy_arg $ out_arg $ no_shrink_arg $ check_domains_arg
-      $ gen_domains_arg $ stats_flag_arg)
+      $ seed_arg $ backend_arg $ policy_arg $ out_arg $ no_shrink_arg $ gen_domains_arg)
 
 (* ---- stats ----------------------------------------------------------------- *)
 
@@ -540,13 +538,15 @@ let stats_cmd =
   in
   let ns_arg =
     Arg.(
-      value & opt (list int) []
+      value & opt (list procs_conv) []
       & info [ "ns" ] ~docv:"N1,N2,..."
           ~doc:"Sweep process counts (overrides $(b,-n)); one table row and one JSON \
                 record per value.")
   in
   let runs_arg =
-    Arg.(value & opt int 200 & info [ "runs" ] ~docv:"K" ~doc:"Seeded simulations per row.")
+    Arg.(
+      value & opt positive_conv 200
+      & info [ "runs" ] ~docv:"K" ~doc:"Seeded simulations per row (at least 1).")
   in
   let crash_prob_arg =
     Arg.(

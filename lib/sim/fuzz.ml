@@ -65,8 +65,8 @@ type policy_stats = {
   s_checked_large : int;
   s_check_wall : float;
   s_gen_wall : float;
-      (** wall-clock spent generating schedules (the loop minus the
-          verification flushes); critical path (max) across gen domains *)
+      (** wall-clock spent generating schedules (the loop minus its
+          checks); critical path (max) across gen streams *)
   s_wall : float;
   s_first_failure : (int * float) option;
       (** run index and wall-clock seconds of the first violation *)
@@ -82,7 +82,6 @@ type report = {
   r_seed : int;
   r_stats : policy_stats list;
   r_violations : violation list;
-  r_pool : Pool.stats;  (** simulator-pool totals across all policies and gen domains *)
 }
 
 let schedules_per_sec s = if s.s_wall > 0.0 then float_of_int s.s_runs /. s.s_wall else 0.0
@@ -134,17 +133,17 @@ let base_policy kind rng n =
   | Pct k -> Policy.pct rng ~k ~depth:(16 * n)
 
 (* Crash events for one run. With [recover = false] the Rng draws are
-   exactly the historic [gen_crashes] stream (one bernoulli per pid plus
-   one int per victim), so fail-stop portfolios keep their seed-for-seed
-   behaviour. With [recover = true] each victim usually (3/4) gets a
+   one bernoulli per pid plus one int per victim (none at [prob] 0), the
+   stream fail-stop portfolios and [scs stats --crash-prob] seeds are
+   pinned to. With [recover = true] each victim usually (3/4) gets a
    recovery delay of 0..7 further global steps, and sometimes (1/4) a
    second crash event landing on the recovered incarnation — the
    recover-during-contention interleavings the crash-recovery model is
    about. *)
-let gen_crash_events ~recover rng n max_crash_steps =
+let gen_crash_events ~prob ~recover rng n max_crash_steps =
   List.concat_map
     (fun p ->
-      if not (Rng.bernoulli rng 0.25) then []
+      if prob <= 0.0 || not (Rng.bernoulli rng prob) then []
       else begin
         let at = 1 + Rng.int rng max_crash_steps in
         if not recover then [ Crash.terminal ~pid:p ~at ]
@@ -182,89 +181,31 @@ let now = Unix.gettimeofday
    the scalable checker existed (the seed checker's 62-operation cap);
    workload checks report them here so fuzz stats can show that such
    runs are verified. A global atomic (snapshotted around each policy
-   batch, whose verifications are joined before the snapshot is read)
-   stays correct when checks run on worker domains. *)
+   batch, whose streams are joined before the snapshot is read) stays
+   correct when checks run on gen domains. *)
 let large_history = 62
 let large_counter = Atomic.make 0
 let checked_large () = Atomic.incr large_counter
 let checked_large_total () = Atomic.get large_counter
 
-(* A finished execution awaiting verification. [pd_done] runs after the
-   verdict is recorded — it releases the run's pooled simulator, which
-   is why a pooled simulator is never reused before its (possibly
-   deferred) check has read it. *)
-type pending = {
-  pd_run : int;
-  pd_seed : int;
-  pd_schedule : int array;
-  pd_crashes : Crash.t list;
-  pd_check : unit -> unit;
-  pd_done : unit -> unit;
-}
-
-type verdict = V_ok | V_viol of string | V_skip | V_exn of exn
-
-(* Verify a chunk of finished runs, fanning out over [domains] OCaml
-   domains when given more than one. Each run owns its sim/trace (fresh
-   workload instance per run), so checks of distinct runs share no
-   mutable state. Returns per-run (verdict, check-seconds) in run order. *)
-let verify_chunk ~domains (chunk : pending array) =
-  let one (p : pending) =
-    let t0 = now () in
-    let v =
-      match p.pd_check () with
-      | () -> V_ok
-      | exception Violation msg -> V_viol msg
-      | exception (Skip _ | Sim.Livelock _) -> V_skip
-      | exception e -> V_exn e
-    in
-    (v, now () -. t0)
-  in
-  if domains <= 1 || Array.length chunk < 2 then Array.map one chunk
-  else begin
-    let results = Array.make (Array.length chunk) (V_ok, 0.0) in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < Array.length chunk then begin
-          results.(i) <- one chunk.(i);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let others =
-      Array.init (min (domains - 1) (Array.length chunk - 1)) (fun _ ->
-          Domain.spawn worker)
-    in
-    worker ();
-    Array.iter Domain.join others;
-    results
-  end
-
-(* Result of generating one contiguous range of runs on one domain. *)
+(* Result of generating one contiguous range of runs on one stream. *)
 type partial = {
   mutable p_runs : int;
   mutable p_turns : int;
   mutable p_viol : (int * violation) list;  (* (global run index, v), newest first *)
   mutable p_skipped : int;
   mutable p_check_wall : float;
-  mutable p_flush_wall : float;  (* wall spent inside verification flushes *)
   mutable p_wall : float;
   mutable p_first : (int * float) option;
   p_steps : float Vec.t;
   mutable p_max_cont : int;
-  p_pool : Pool.stats;
-  p_obs : Scs_obs.Obs.t;  (* this domain's sink (the shared one when gen_domains = 1) *)
+  p_obs : Scs_obs.Obs.t;  (* this stream's sink (the shared one when gen_domains = 1) *)
 }
 
 let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
     ?(max_violations = max_int) ?(seed = 1) ?max_steps ?(max_crash_steps = 15)
-    ?(check_domains = 1) ?(gen_domains = 1) ?(obs = Scs_obs.Obs.null) ~workload
-    ~n ~instantiate () =
+    ?(gen_domains = 1) ?(obs = Scs_obs.Obs.null) ~workload ~n ~instantiate () =
   let gen_domains = max 1 gen_domains in
-  let pool_totals = Pool.zero_stats () in
   let per_policy_viols = ref [] in
   (* reverse policy order *)
   let stats =
@@ -273,15 +214,14 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
         let name = spec_name spec in
         let t0 = now () in
         let large0 = checked_large_total () in
-        (* shared across this policy's gen domains: early stop on the
+        (* shared across this policy's streams: early stop on the
            violation budget *)
         let viol_count = Atomic.make 0 in
-        (* Generate runs [lo, hi) (global indices) on one domain. For
-           [dom = 0] the seed stream is exactly the legacy sequential
-           stream, so [gen_domains = 1] reproduces old behaviour run for
-           run. *)
-        let run_range ~dom ~lo ~hi () =
-          let prng = Rng.create (seed + (0x9E3779B9 * (idx + 1)) + (0x51ED270B * dom)) in
+        (* Generate and check runs [lo, hi) (global indices) of one
+           stream. Stream 0's seed stream is the sequential one, so
+           [gen_domains = 1] reproduces it run for run. *)
+        let run_range stream ~lo ~hi =
+          let prng = Rng.create (seed + (0x9E3779B9 * (idx + 1)) + (0x51ED270B * stream)) in
           let dobs =
             if gen_domains <= 1 || not (Scs_obs.Obs.enabled obs) then obs
             else Scs_obs.Obs.create ~ring_capacity:(Scs_obs.Obs.ring_capacity obs) ~n ()
@@ -293,22 +233,20 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
               p_viol = [];
               p_skipped = 0;
               p_check_wall = 0.0;
-              p_flush_wall = 0.0;
               p_wall = 0.0;
               p_first = None;
               p_steps = Vec.create ();
               p_max_cont = 0;
-              p_pool = Pool.zero_stats ();
               p_obs = dobs;
             }
           in
-          let sim_pool = Pool.create ?max_steps ~obs:dobs ~n () in
+          (* one simulator per stream, rewound with [Sim.clear] before
+             each reuse *)
+          let sim = Sim.create ?max_steps ~obs:dobs ~n () in
           let buf : int Vec.t = Vec.create () in
           let sc_first = Array.make n 0 and sc_last = Array.make n 0 in
           let sc_count = Array.make n 0 in
-          let chunk_size = if check_domains <= 1 then 1 else 16 * check_domains in
-          let pending : pending Vec.t = Vec.create () in
-          let record_violation gidx run_seed schedule crashes msg =
+          let record_violation gidx run_seed crashes msg =
             Atomic.incr viol_count;
             if part.p_first = None then part.p_first <- Some (gidx, now () -. t0);
             part.p_viol <-
@@ -318,29 +256,11 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
                   v_n = n;
                   v_policy = name;
                   v_seed = run_seed;
-                  v_schedule = schedule;
+                  v_schedule = Vec.to_array buf;
                   v_crashes = crashes;
                   v_error = msg;
                 } )
               :: part.p_viol
-          in
-          let flush () =
-            let tf0 = now () in
-            let chunk = Vec.to_array pending in
-            Vec.clear pending;
-            let results = verify_chunk ~domains:check_domains chunk in
-            Array.iteri
-              (fun i (v, dt) ->
-                part.p_check_wall <- part.p_check_wall +. dt;
-                let p = chunk.(i) in
-                (match v with
-                | V_ok -> ()
-                | V_skip -> part.p_skipped <- part.p_skipped + 1
-                | V_exn e -> raise e
-                | V_viol msg -> record_violation p.pd_run p.pd_seed p.pd_schedule p.pd_crashes msg);
-                p.pd_done ())
-              results;
-            part.p_flush_wall <- part.p_flush_wall +. (now () -. tf0)
           in
           let keep_going () =
             lo + part.p_runs < hi
@@ -352,11 +272,11 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
             let run_seed = Rng.int prng 0x3FFFFFFF in
             let rng = Rng.create run_seed in
             let setup, check = instantiate () in
-            let sim = Pool.acquire sim_pool in
+            if part.p_runs > 0 then Sim.clear sim;
             setup sim;
             let crashes =
               if spec.crash_faults then
-                gen_crash_events ~recover:spec.crash_recover rng n max_crash_steps
+                gen_crash_events ~prob:0.25 ~recover:spec.crash_recover rng n max_crash_steps
               else []
             in
             Vec.clear buf;
@@ -367,7 +287,7 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
               with
               | Violation msg ->
                   (* a check raised from inside a process fiber *)
-                  record_violation gidx run_seed (Vec.to_array buf) crashes msg;
+                  record_violation gidx run_seed crashes msg;
                   false
               | Skip _ | Sim.Livelock _ ->
                   part.p_skipped <- part.p_skipped + 1;
@@ -377,65 +297,24 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
             let c = schedule_contention_into ~n ~first:sc_first ~last:sc_last ~count:sc_count buf in
             if c > part.p_max_cont then part.p_max_cont <- c;
             part.p_turns <- part.p_turns + Vec.length buf;
-            if ok then
-              Vec.push pending
-                {
-                  pd_run = gidx;
-                  pd_seed = run_seed;
-                  pd_schedule = Vec.to_array buf;
-                  pd_crashes = crashes;
-                  pd_check = (fun () -> check sim);
-                  pd_done = (fun () -> Pool.release sim_pool sim);
-                }
-            else Pool.release sim_pool sim;
-            part.p_runs <- part.p_runs + 1;
-            if Vec.length pending >= chunk_size then flush ()
+            if ok then begin
+              let tc = now () in
+              (match check sim with
+              | () -> ()
+              | exception Violation msg -> record_violation gidx run_seed crashes msg
+              | exception (Skip _ | Sim.Livelock _) -> part.p_skipped <- part.p_skipped + 1);
+              part.p_check_wall <- part.p_check_wall +. (now () -. tc)
+            end;
+            part.p_runs <- part.p_runs + 1
           done;
-          flush ();
-          Pool.merge_stats ~into:part.p_pool (Pool.stats sim_pool);
           part.p_wall <- now () -. t0;
           part
         in
-        let parts =
-          if gen_domains <= 1 then [| run_range ~dom:0 ~lo:0 ~hi:runs () |]
-          else begin
-            let base = runs / gen_domains and rem = runs mod gen_domains in
-            let bounds =
-              Array.init gen_domains (fun d ->
-                  let lo = (d * base) + min d rem in
-                  (lo, lo + base + if d < rem then 1 else 0))
-            in
-            (* [gen_domains] fixes the seed streams and batch split; the
-               OS domains actually spawned are capped at the runtime's
-               recommendation (oversubscribed domains serialize on every
-               minor-GC barrier). Each worker runs its streams
-               sequentially into distinct slots, so the mapping of
-               streams to workers cannot change any result. *)
-            let workers =
-              min gen_domains (max 1 (Domain.recommended_domain_count ()))
-            in
-            let slots = Array.make gen_domains None in
-            let run_streams w () =
-              let d = ref w in
-              while !d < gen_domains do
-                let lo, hi = bounds.(!d) in
-                slots.(!d) <- Some (run_range ~dom:!d ~lo ~hi ());
-                d := !d + workers
-              done
-            in
-            let handles =
-              Array.init (workers - 1) (fun i -> Domain.spawn (run_streams (i + 1)))
-            in
-            run_streams 0 ();
-            Array.iter Domain.join handles;
-            Array.map (function Some p -> p | None -> assert false) slots
-          end
-        in
-        (* deterministic merge: domain-index order for obs sinks and pool
-           stats, global run order for violations and first-failure *)
+        let parts = Streams.run ~streams:gen_domains ~runs run_range in
+        (* deterministic merge: stream order for obs sinks, global run
+           order for violations and first-failure *)
         if gen_domains > 1 && Scs_obs.Obs.enabled obs then
           Array.iter (fun p -> Scs_obs.Obs.merge_into ~into:obs p.p_obs) parts;
-        Array.iter (fun p -> Pool.merge_stats ~into:pool_totals p.p_pool) parts;
         let viols =
           Array.to_list parts
           |> List.concat_map (fun p -> List.rev p.p_viol)
@@ -468,7 +347,7 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
           s_checked_large = checked_large_total () - large0;
           s_check_wall = sumf (fun p -> p.p_check_wall);
           s_gen_wall =
-            Array.fold_left (fun acc p -> Float.max acc (p.p_wall -. p.p_flush_wall)) 0.0 parts;
+            Array.fold_left (fun acc p -> Float.max acc (p.p_wall -. p.p_check_wall)) 0.0 parts;
           s_wall = now () -. t0;
           s_first_failure = first;
           s_step_p50 = pct 50.0;
@@ -483,7 +362,6 @@ let run ?(policies = default_portfolio) ?(runs = 1000) ?time_budget
     r_seed = seed;
     r_stats = stats;
     r_violations = List.concat (List.rev !per_policy_viols);
-    r_pool = pool_totals;
   }
 
 (* {1 Repro artifacts} *)

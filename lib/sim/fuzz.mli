@@ -31,8 +31,7 @@ val large_history : int
 val checked_large : unit -> unit
 (** Called by [check] functions that verified a history of more than
     {!large_history} operations. Counted per policy in
-    {!policy_stats.s_checked_large}; safe to call from verification
-    worker domains. *)
+    {!policy_stats.s_checked_large}; safe to call from gen domains. *)
 
 val checked_large_total : unit -> int
 (** Process-wide number of {!checked_large} calls so far. *)
@@ -83,11 +82,14 @@ val base_policy : sched_kind -> Scs_util.Rng.t -> int -> Policy.t
     processes, drawing from [rng] ([Weighted] draws its per-run weights
     first). *)
 
-val gen_crash_events : recover:bool -> Scs_util.Rng.t -> int -> int -> Crash.t list
-(** [gen_crash_events ~recover rng n max_crash_steps]: one run's crash
-    events — each pid independently with probability 1/4, after
+val gen_crash_events :
+  prob:float -> recover:bool -> Scs_util.Rng.t -> int -> int -> Crash.t list
+(** [gen_crash_events ~prob ~recover rng n max_crash_steps]: one run's
+    crash events — each pid independently with probability [prob], after
     1..[max_crash_steps] of its steps; with [recover], usually
-    recovering and sometimes crashing again. *)
+    recovering and sometimes crashing again. {!run} passes [prob = 1/4];
+    [scs stats] passes its [--crash-prob]. At [prob <= 0] it returns [[]]
+    without drawing from [rng]. *)
 
 (** {1 Reports} *)
 
@@ -112,12 +114,11 @@ type policy_stats = {
           {!checked_large}) *)
   s_check_wall : float;
       (** seconds spent inside [check], summed across runs (and across
-          verification domains, so it can exceed elapsed wall time) *)
+          gen streams, so it can exceed elapsed wall time) *)
   s_gen_wall : float;
-      (** wall-clock seconds spent generating schedules: the policy's
-          loop time minus its verification flushes, taken as the
-          critical path (max) over gen domains — what the pooling and
-          allocation work optimises, reported as [gen/s] *)
+      (** wall-clock seconds spent generating schedules: a stream's loop
+          time minus its checks, taken as the critical path (max) over
+          gen streams — reported as [gen/s] *)
   s_wall : float;
   s_first_failure : (int * float) option;
       (** run index and wall-clock seconds of the first violation *)
@@ -140,9 +141,6 @@ type report = {
   r_seed : int;
   r_stats : policy_stats list;
   r_violations : violation list;
-  r_pool : Pool.stats;
-      (** simulator-pool totals across all policies and gen domains:
-          resets vs fresh creates and peak arena sizes *)
 }
 
 val schedules_per_sec : policy_stats -> float
@@ -154,7 +152,7 @@ val gen_per_sec : policy_stats -> float
 
 val check_per_sec : policy_stats -> float
 (** Runs over {!policy_stats.s_check_wall} — verification throughput
-    alone (CPU-seconds across check domains). *)
+    alone (CPU-seconds across gen streams). *)
 
 (** {1 Engine} *)
 
@@ -166,7 +164,6 @@ val run :
   ?seed:int ->
   ?max_steps:int ->
   ?max_crash_steps:int ->
-  ?check_domains:int ->
   ?gen_domains:int ->
   ?obs:Scs_obs.Obs.t ->
   workload:string ->
@@ -179,42 +176,29 @@ val run :
     wall-clock seconds, each policy stopping once it has found
     [max_violations] violations of its own (so every portfolio member
     reports its own time-to-first-failure). Each run calls [instantiate]
-    for a fresh linked [(setup, check)] pair, takes a cleared simulator
-    from the domain's {!Pool} (rewound with {!Sim.clear}, so harness
-    cost is paid once per pooled instance), applies [setup] (which
-    spawns the processes), drives it under the policy with the schedule
-    captured, then applies [check], interpreting {!Violation}
-    as a failure and {!Skip} / {!Sim.Livelock} as a skipped run.
-    Crash-fault specs crash each pid with probability 1/4 after
-    1..[max_crash_steps] (default 15) memory steps.
+    for a fresh linked [(setup, check)] pair, applies [setup] (which
+    spawns the processes) to the stream's simulator — one per policy and
+    stream, rewound with {!Sim.clear} before each reuse — drives it
+    under the policy with the schedule captured, then applies [check]
+    inline, interpreting {!Violation} as a failure and {!Skip} /
+    {!Sim.Livelock} as a skipped run. Crash-fault specs crash each pid
+    with probability 1/4 after 1..[max_crash_steps] (default 15) memory
+    steps ({!gen_crash_events}).
 
-    [check_domains] (default 1) fans run verification out over that many
-    OCaml domains: executions are produced by the schedule loop and
-    checked in chunks concurrently, instead of interleaving checker time
-    into the loop. Because every run has its own instance, checks of
-    distinct runs share no mutable state — but [check] closures must be
-    domain-safe in what else they touch. With [check_domains = 1] the
-    engine verifies inline after each run and is fully deterministic
-    given [seed]; with more domains, verdicts and stats are unchanged but
-    a policy may execute up to one chunk (16 × domains runs) beyond its
-    [max_violations] stop, and [s_first_failure] timing reflects chunked
-    verification.
-
-    [gen_domains] (default 1) fans schedule {e generation} out: the run
-    range is split into contiguous per-domain chunks, each generated on
-    its own domain with its own seed stream, pooled simulator and (when
-    [obs] is enabled) private obs sink; reports, failure lists and obs
-    sinks are merged deterministically at join (domain-index order for
-    sinks, global run order for violations). Domain 0's seed stream is
-    the legacy sequential stream, so [gen_domains = 1] reproduces the
-    single-domain engine run for run; higher values explore different
-    (per-domain) seed streams. Composes with [check_domains], which then
-    applies within each gen domain. [max_violations] becomes a shared
-    budget across gen domains.
+    [gen_domains] (default 1) splits the run range into that many
+    streams with {!Streams.run}. Each stream has its own seed stream,
+    simulator and (when [obs] is enabled) private obs sink, and checks
+    its own runs; [check] closures must therefore be domain-safe in what
+    they touch beyond their own run. Reports, failure lists and obs
+    sinks are merged deterministically at join (stream order for sinks,
+    global run order for violations). Stream 0's seed stream is the
+    sequential one, so [gen_domains = 1] is fully deterministic given
+    [seed] and higher values explore different (per-stream) seed
+    streams. [max_violations] becomes a shared budget across streams.
 
     Verdicts, schedules and obs counters are those of a fresh simulator
     per run: test/test_pool.ml keeps that fresh-simulator loop as the
-    oracle for pooled reuse.
+    oracle for simulator reuse.
 
     [obs] (default {!Scs_obs.Obs.null}) is attached to every run's
     simulator, aggregating counters across the whole campaign; it

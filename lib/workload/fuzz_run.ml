@@ -589,13 +589,13 @@ let find_qualified s =
       | Some w, Ok backend -> Some (w, backend)
       | _ -> None)
 
-let fuzz ?backend ?policies ?runs ?time_budget ?max_violations ?seed ?max_steps ?check_domains
-    ?gen_domains ?obs w ~n =
+let fuzz ?backend ?policies ?runs ?time_budget ?max_violations ?seed ?max_steps ?gen_domains
+    ?obs w ~n =
   let workload =
     qualified_name w (Option.value ~default:Scs_prims.Backend.default backend)
   in
   Fuzz.run ?policies ?runs ?time_budget ?max_violations ?seed ?max_steps
-    ?check_domains ?gen_domains ?obs ~workload ~n
+    ?gen_domains ?obs ~workload ~n
     ~instantiate:(fun () ->
       let { setup; check } = w.instantiate ?backend ~n () in
       (setup, check))

@@ -92,15 +92,14 @@ val fuzz :
   ?max_violations:int ->
   ?seed:int ->
   ?max_steps:int ->
-  ?check_domains:int ->
   ?gen_domains:int ->
   ?obs:Scs_obs.Obs.t ->
   t ->
   n:int ->
   Fuzz.report
 (** {!Fuzz.run} with a fresh instance of the workload per run;
-    [check_domains] fans checker work out, [gen_domains] fans schedule
-    generation out, and [obs] attaches an observability sink to every run's simulator, as
+    [gen_domains] fans generation and checking out over domains and
+    [obs] attaches an observability sink to every run's simulator, as
     documented there. [backend] selects the primitive backend; the
     report and its repro artifacts carry the {!qualified_name}. *)
 

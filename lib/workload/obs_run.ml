@@ -98,14 +98,6 @@ let install_shard ~backend ~obs ~n sim =
   done;
   rearm
 
-let gen_crashes rng ~n ~crash_prob =
-  List.filter_map
-    (fun p ->
-      if crash_prob > 0.0 && Rng.bernoulli rng crash_prob then
-        Some (Crash.terminal ~pid:p ~at:(1 + Rng.int rng 15))
-      else None)
-    (List.init n (fun p -> p))
-
 let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
   let ops = Obs.op_metrics obs in
   if ops = [] then invalid_arg "Obs_run.measure: batch completed zero operations";
@@ -191,15 +183,15 @@ let arm_run ~target ~rearm rng =
       rearm rng2;
       Rng.split rng2
 
-(* One domain's share of a batch: a single simulator installed once and
+(* One stream's share of a batch: a single simulator installed once and
    rewound with [Sim.reset] per run, before the run's rearm hook. *)
-let run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
+let run_stream ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
   let sim = Sim.create ~obs ~n () in
   let rearm = install ~backend ~obs ~target ~n sim in
   Sim.snapshot sim;
   for i = 1 to runs do
     let rng = Rng.split prng in
-    let crashes = gen_crashes rng ~n ~crash_prob in
+    let crashes = Fuzz.gen_crash_events ~prob:crash_prob ~recover:false rng n 15 in
     if i > 1 then Sim.reset sim;
     let pol_rng = arm_run ~target ~rearm rng in
     (* consensus targets draw crashes but never inject them *)
@@ -213,60 +205,27 @@ let measure ?(runs = 200) ?(seed = 42) ?(backend = Scs_prims.Backend.default)
   let gen_domains = max 1 gen_domains in
   (* The batch sink's event ring is never replayed (the aggregate reads
      counters, census and op metrics only), so the batch skips ring
-     recording entirely. *)
+     recording entirely. Stream 0 feeds it directly. *)
   let obs = Obs.create ~record_ring:false ~n () in
+  let sinks =
+    Array.init gen_domains (fun d ->
+        if d = 0 then obs
+        else Obs.create ~ring_capacity:(Obs.ring_capacity obs) ~record_ring:false ~n ())
+  in
   let t0 = Unix.gettimeofday () in
   let completed =
-    if gen_domains = 1 then
-      run_domain ~backend ~target ~n ~policy ~crash_prob ~obs ~prng:(Rng.create seed) ~runs
-    else begin
-      let base = runs / gen_domains and extra = runs mod gen_domains in
-      let counts =
-        Array.init gen_domains (fun d -> base + if d < extra then 1 else 0)
-      in
-      let sinks =
-        Array.init gen_domains (fun d ->
-            if d = 0 then obs
-            else
-              Obs.create ~ring_capacity:(Obs.ring_capacity obs)
-                ~record_ring:false ~n ())
-      in
-      let work d () =
-        run_domain ~backend ~target ~n ~policy ~crash_prob ~obs:sinks.(d)
+    Streams.run ~streams:gen_domains ~runs (fun d ~lo ~hi ->
+        run_stream ~backend ~target ~n ~policy ~crash_prob ~obs:sinks.(d)
           ~prng:(Rng.create (seed + (0x51ED270B * d)))
-          ~runs:counts.(d)
-      in
-      (* [gen_domains] fixes the stream split (and therefore the exact
-         schedules sampled); the number of OS domains actually spawned
-         is capped at the runtime's recommendation, because
-         oversubscribed domains stall each other at every minor-GC
-         barrier. A worker executes its streams sequentially, so the
-         mapping of streams to workers cannot change any result. *)
-      let workers =
-        min gen_domains (max 1 (Domain.recommended_domain_count ()))
-      in
-      let run_streams w () =
-        let total = ref 0 in
-        let d = ref w in
-        while !d < gen_domains do
-          total := !total + work !d ();
-          d := !d + workers
-        done;
-        !total
-      in
-      let others =
-        Array.init (workers - 1) (fun i -> Domain.spawn (run_streams (i + 1)))
-      in
-      let mine = run_streams 0 () in
-      let rest = Array.map Domain.join others in
-      for d = 1 to gen_domains - 1 do
-        Obs.merge_into ~into:obs sinks.(d)
-      done;
-      Array.fold_left ( + ) mine rest
-    end
+          ~runs:(hi - lo))
   in
+  for d = 1 to gen_domains - 1 do
+    Obs.merge_into ~into:obs sinks.(d)
+  done;
   let wall = Unix.gettimeofday () -. t0 in
-  aggregate ~workload:(target_name target) ~backend ~n ~runs:completed ~wall obs
+  aggregate ~workload:(target_name target) ~backend ~n
+    ~runs:(Array.fold_left ( + ) 0 completed)
+    ~wall obs
 
 let solo ?(backend = Scs_prims.Backend.default) target ~n =
   let obs = Obs.create ~n () in

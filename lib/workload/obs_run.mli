@@ -60,26 +60,27 @@ val measure :
     {!Scs_prims.Backend.default}) selects the simulator primitive
     backend, so the same step/contention aggregates can be measured
     under per-object-SC registers; [crash_prob] (default 0) independently
-    crashes each pid with that probability after 1–15 steps, as the
-    fuzzer's crash portfolio does. Raises [Invalid_argument] if the
+    crashes each pid with that probability after 1–15 steps, drawn by
+    the fuzzer's {!Scs_sim.Fuzz.gen_crash_events}. Raises [Invalid_argument] if the
     batch completes zero operations. The batch runs on one simulator
-    per domain, installed once and rewound with [Sim.reset] before each
+    per stream, installed once and rewound with [Sim.reset] before each
     run after the first, ahead of the run's rearm hook.
 
-    [gen_domains] (default 1) splits the batch across that many OCaml
-    domains, each with its own pooled simulator and private sink,
-    merged deterministically at join (domain-index order). Domain 0
-    generates the single-domain stream; higher domains use derived streams, so
-    per-op metrics aggregate a different (but seed-stable) sample of
+    [gen_domains] (default 1) splits the batch into that many streams
+    with {!Scs_sim.Streams.run}, each with its own simulator and private
+    sink, merged deterministically at join (stream order). Stream 0
+    generates the single-domain stream; higher streams use derived seeds,
+    so per-op metrics aggregate a different (but seed-stable) sample of
     schedules. A custom [policy] closure must be domain-safe. *)
 
 (** {1 Building blocks of one run}
 
     One run of {!measure}'s batch, exposed so a fresh-simulator loop can
     be checked against the batch's [Sim.reset] reuse: draw
-    [crashes = gen_crashes rng], then [pol_rng = arm_run ~target ~rearm
-    rng], then [Sim.run ~crashes sim (policy pol_rng)], with [crashes]
-    emptied for [Cons] targets. *)
+    [crashes = Fuzz.gen_crash_events ~prob:crash_prob ~recover:false rng
+    n 15], then [pol_rng = arm_run ~target ~rearm rng], then
+    [Sim.run ~crashes sim (policy pol_rng)], with [crashes] emptied for
+    [Cons] targets. *)
 
 val install :
   backend:Scs_prims.Backend.t ->
@@ -102,10 +103,6 @@ val arm_run :
   target:target -> rearm:(Scs_util.Rng.t -> unit) -> Scs_util.Rng.t -> Scs_util.Rng.t
 (** Consume the run's rng after its crash draws, apply [rearm], and
     return the policy's rng. *)
-
-val gen_crashes : Scs_util.Rng.t -> n:int -> crash_prob:float -> Crash.t list
-(** Each pid independently with probability [crash_prob], a terminal
-    crash after 1..15 of its steps. *)
 
 val solo : ?backend:Scs_prims.Backend.t -> target -> n:int -> agg
 (** One run in which process 0 executes alone ({!Policy.solo}): the

@@ -32,4 +32,5 @@ let () =
       ("obs", Test_obs.tests);
       ("pool", Test_pool.tests);
       ("recovery", Test_recovery.tests);
+      ("cli", Test_cli.tests);
     ]

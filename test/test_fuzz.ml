@@ -182,20 +182,6 @@ let test_long_lived_direct_sequential () =
   Alcotest.(check bool) "scalable checker accepts" true
     (Linearize.check_operations Objects.resettable_tas ops)
 
-let test_check_domains_equivalent () =
-  (* parallel verification must not change verdicts or accounting *)
-  let stats cd =
-    let report =
-      Fuzz_run.fuzz ~policies:uniform ~runs:20 ~seed:13 ~check_domains:cd Fuzz_run.queue
-        ~n:3
-    in
-    match report.Fuzz.r_stats with
-    | [ s ] -> (s.Fuzz.s_runs, s.Fuzz.s_violations, s.Fuzz.s_skipped, s.Fuzz.s_checked_large)
-    | _ -> Alcotest.fail "expected one policy"
-  in
-  let r1 = stats 1 and r2 = stats 2 in
-  Alcotest.(check bool) "same runs/violations/skips/checked-large" true (r1 = r2)
-
 let test_crash_variant_finds_f1 () =
   (* crash-injecting portfolio member also rediscovers F-1, and its
      (schedule, crashes) pair replays deterministically *)
@@ -290,8 +276,6 @@ let tests =
       test_long_lived_fuzz_no_capacity_skips;
     Alcotest.test_case "long-lived TAS: 100+ resets checked directly" `Quick
       test_long_lived_direct_sequential;
-    Alcotest.test_case "check-domains parallel verify is equivalent" `Quick
-      test_check_domains_equivalent;
     Alcotest.test_case "crash-injecting policy finds and replays F-1" `Quick
       test_crash_variant_finds_f1;
     Alcotest.test_case "regression: bakery Dec clobber (fuzzer-found)" `Quick

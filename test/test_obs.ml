@@ -224,7 +224,7 @@ let test_cross_check_detect () =
    identical violation schedules. *)
 let test_obs_never_changes_verdicts () =
   let run ~obs =
-    Fuzz_run.fuzz ?obs ~runs:40 ~seed:9 ~check_domains:1
+    Fuzz_run.fuzz ?obs ~runs:40 ~seed:9
       (Option.get (Fuzz_run.find "tas-composed"))
       ~n:3
   in

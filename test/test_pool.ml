@@ -1,7 +1,7 @@
-(* Differential tests for the pooled simulation engine.
+(* Differential tests for the simulator-reusing batch engines.
 
-   [Fuzz.run] executes every run on a pooled simulator: one per gen
-   domain, rewound with [Sim.clear] and re-[setup] between runs.
+   [Fuzz.run] executes every run on a reused simulator: one per policy
+   and gen stream, rewound with [Sim.clear] and re-[setup] between runs.
    [fresh_fuzz] below is the fresh-simulator engine it replaced, kept
    here only as the oracle: a new [Sim.create] per run under the same
    seed streams, policies and crash events. The contract is that the two
@@ -10,7 +10,8 @@
    tests enforce that contract, the same one for [Obs_run.measure]'s
    install-once batches ([fresh_obs_run]), plus [Sim.snapshot]/
    [Sim.reset] rewind correctness and recovery after [Livelock] and
-   [Process_failure]. *)
+   [Process_failure], and the [Streams] split both engines fan out
+   with. *)
 
 open Scs_sim
 open Scs_workload
@@ -61,7 +62,7 @@ let fresh_fuzz ?(policies = Fuzz.default_portfolio) ?obs ~runs ~seed (w : Fuzz_r
         inst.Fuzz_run.setup sim;
         let crashes =
           if spec.Fuzz.crash_faults then
-            Fuzz.gen_crash_events ~recover:spec.crash_recover rng n 15
+            Fuzz.gen_crash_events ~prob:0.25 ~recover:spec.crash_recover rng n 15
           else []
         in
         let buf = Scs_util.Vec.create () in
@@ -254,7 +255,7 @@ let fresh_obs_run ~runs ~seed ~crash_prob target ~n =
   let prng = Scs_util.Rng.create seed in
   for _ = 1 to runs do
     let rng = Scs_util.Rng.split prng in
-    let crashes = Obs_run.gen_crashes rng ~n ~crash_prob in
+    let crashes = Fuzz.gen_crash_events ~prob:crash_prob ~recover:false rng n 15 in
     let sim = Sim.create ~obs ~n () in
     let rearm = Obs_run.install ~backend ~obs ~target ~n sim in
     let pol_rng = Obs_run.arm_run ~target ~rearm rng in
@@ -287,18 +288,6 @@ let test_obs_run_vs_fresh () =
             a.objects)
         [ 0.0; 0.3 ])
     (List.filter_map Obs_run.target_of_string (Obs_run.target_names ()))
-
-(* Pool accounting: one pooled simulator per policy batch — exactly one
-   fresh create per policy, every later acquire a reuse. *)
-let test_pool_stats () =
-  let runs = 20 in
-  let r = Fuzz_run.fuzz ~runs ~seed:7 Fuzz_run.tas_composed ~n:3 in
-  let p = r.Fuzz.r_pool in
-  let policies = List.length r.Fuzz.r_stats in
-  Alcotest.(check int) "one create per policy" policies p.Pool.created;
-  Alcotest.(check int) "rest reused" ((policies * runs) - policies) p.Pool.reused;
-  if p.Pool.peak_objects <= 0 then Alcotest.failf "peak_objects not recorded";
-  if p.Pool.peak_turns <= 0 then Alcotest.failf "peak_turns not recorded"
 
 (* A little workload touching every object class, with a mid-run
    allocation so reset has something to truncate. *)
@@ -455,6 +444,58 @@ let test_gen_domains_determinism () =
       Alcotest.(check int) ("full budget: " ^ s.Fuzz.s_policy) 40 s.s_runs)
     ra.Fuzz.r_stats
 
+(* The shared fan-out: every run index lands in exactly one stream,
+   stream sizes differ by at most one, and results come back in stream
+   order whatever domain ran each stream. *)
+let test_streams_split () =
+  List.iter
+    (fun runs ->
+      List.iter
+        (fun streams ->
+          let l = Printf.sprintf "runs=%d streams=%d" runs streams in
+          let got = Streams.run ~streams ~runs (fun d ~lo ~hi -> (d, lo, hi)) in
+          Alcotest.(check int) (l ^ " one result per stream") streams (Array.length got);
+          Array.iteri (fun i (d, _, _) -> Alcotest.(check int) (l ^ " stream order") i d) got;
+          let hits = Array.make runs 0 in
+          Array.iter
+            (fun (_, lo, hi) ->
+              for r = lo to hi - 1 do
+                hits.(r) <- hits.(r) + 1
+              done)
+            got;
+          Array.iteri
+            (fun r h -> Alcotest.(check int) (Printf.sprintf "%s run %d covered once" l r) 1 h)
+            hits;
+          let sizes = Array.map (fun (_, lo, hi) -> hi - lo) got in
+          let mx = Array.fold_left max min_int sizes and mn = Array.fold_left min max_int sizes in
+          if mx - mn > 1 then Alcotest.failf "%s: stream sizes %d..%d" l mn mx)
+        [ 1; 2; 3; 5 ])
+    [ 0; 1; 7; 20 ]
+
+(* Obs_run's parallel path: two batches split over two streams with one
+   seed aggregate identically. *)
+let test_obs_run_gen_domains_determinism () =
+  List.iter
+    (fun (target, crash_prob) ->
+      let go () = Obs_run.measure ~runs:40 ~seed:5 ~crash_prob ~gen_domains:2 target ~n:3 in
+      let a = go () and b = go () in
+      let l = Obs_run.target_name target in
+      Alcotest.(check int) (l ^ " runs") 40 a.Obs_run.runs;
+      Alcotest.(check int) (l ^ " runs repeat") a.runs b.Obs_run.runs;
+      if a.ops <> b.ops then Alcotest.failf "%s: op metrics differ between repeats" l;
+      Alcotest.(check int) (l ^ " max interval contention") a.max_interval_contention
+        b.max_interval_contention;
+      Alcotest.(check int) (l ^ " aborts") a.aborts b.aborts;
+      Alcotest.(check int) (l ^ " handoffs") a.handoffs b.handoffs;
+      Alcotest.(check int) (l ^ " crashes") a.crashes b.crashes;
+      Alcotest.(check (list (triple string int int))) (l ^ " object census") a.objects
+        b.objects)
+    [
+      (Obs_run.Tas Tas_run.Composed, 0.3);
+      (Obs_run.Cons Cons_run.Chain3, 0.0);
+      (Obs_run.Shard, 0.3);
+    ]
+
 let tests =
   [
     Alcotest.test_case "pooled vs fresh: reports and violations" `Slow
@@ -463,7 +504,6 @@ let tests =
       test_pooled_vs_fresh_every_schedule;
     Alcotest.test_case "pooled vs fresh: obs counters" `Quick test_pooled_vs_fresh_obs;
     Alcotest.test_case "Obs_run batch vs fresh: every target" `Quick test_obs_run_vs_fresh;
-    Alcotest.test_case "pool stats: creates vs reuses" `Quick test_pool_stats;
     Alcotest.test_case "snapshot/reset: scripted differential" `Quick
       test_snapshot_reset_differential;
     Alcotest.test_case "reset recovers after Livelock" `Quick test_reset_after_livelock;
@@ -471,4 +511,8 @@ let tests =
       test_reset_after_process_failure;
     Alcotest.test_case "gen domains: deterministic parallel generation" `Quick
       test_gen_domains_determinism;
+    Alcotest.test_case "streams: every run in one stream, sizes within 1, stream order"
+      `Quick test_streams_split;
+    Alcotest.test_case "Obs_run gen domains: deterministic parallel batches" `Quick
+      test_obs_run_gen_domains_determinism;
   ]
