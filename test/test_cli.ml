@@ -18,11 +18,6 @@ let run args =
   Sys.remove err;
   (code, msg)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_bad_counts_are_usage_errors () =
   if not (Sys.file_exists scs) then Alcotest.failf "%s not built" scs;
   List.iter
@@ -30,7 +25,7 @@ let test_bad_counts_are_usage_errors () =
       let l = String.concat " " args in
       let code, msg = run args in
       Alcotest.(check int) (l ^ ": exit status") 124 code;
-      if not (contains msg expect) then Alcotest.failf "%s: stderr %S lacks %S" l msg expect)
+      if not (Test_recovery.contains msg expect) then Alcotest.failf "%s: stderr %S lacks %S" l msg expect)
     [
       ([ "fuzz"; "-n"; "0"; "--workload"; "splitter" ], "0 is not in 1..62");
       ([ "difffuzz"; "-n"; "63"; "--workload"; "splitter" ], "63 is not in 1..62");
