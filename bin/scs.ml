@@ -318,9 +318,9 @@ let check_cmd =
 let explore_cmd =
   let budget_arg =
     Arg.(
-      value & opt int 100_000
+      value & opt positive_conv 100_000
       & info [ "budget" ] ~docv:"K"
-          ~doc:"Maximum number of terminated runs to enumerate.")
+          ~doc:"Maximum number of terminated runs to enumerate (at least 1).")
   in
   let por_arg =
     Arg.(
@@ -336,13 +336,7 @@ let explore_cmd =
       & info [ "domains" ] ~docv:"D"
           ~doc:"Fan the exploration out over $(docv) OCaml domains.")
   in
-  let stats_flag_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print simulator-pool statistics (fresh creates vs rewind reuses).")
-  in
-  let run n algo budget por domains backend pool_stats =
+  let run n algo budget por domains backend =
     let outcome, bad =
       Tas_run.explore_one_shot ~max_schedules:budget ~por ~domains ~backend ~n ~algo ()
     in
@@ -355,9 +349,6 @@ let explore_cmd =
       (if outcome.Explore.truncated then " (budget-truncated)" else " (complete)")
       outcome.Explore.pruned outcome.Explore.truncated_runs outcome.Explore.steps_replayed
       outcome.Explore.wall_s bad;
-    if pool_stats then
-      Printf.printf "pool: %d fresh simulator(s), %d rewind reuse(s)\n"
-        outcome.Explore.sims_created outcome.Explore.sims_reused;
     if bad > 0 then exit 1
   in
   Cmd.v
@@ -365,8 +356,7 @@ let explore_cmd =
        ~doc:
          "Exhaustively enumerate interleavings of a one-shot TAS run and check strict           linearizability on each (bounded model checking).")
     Term.(
-      const run $ n_arg $ tas_algo_arg $ budget_arg $ por_arg $ domains_arg $ backend_arg
-      $ stats_flag_arg)
+      const run $ n_arg $ tas_algo_arg $ budget_arg $ por_arg $ domains_arg $ backend_arg)
 
 (* ---- fuzz ------------------------------------------------------------------ *)
 
@@ -416,7 +406,9 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "list-workloads" ] ~doc:"List fuzz workloads and exit.")
   in
   let runs_arg =
-    Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"K" ~doc:"Schedules per policy.")
+    Arg.(
+      value & opt positive_conv 1000
+      & info [ "runs" ] ~docv:"K" ~doc:"Schedules per policy (at least 1).")
   in
   let budget_arg =
     Arg.(
@@ -959,7 +951,9 @@ let difffuzz_cmd =
              every workload that is expected to hold on atomic registers.")
   in
   let runs_arg =
-    Arg.(value & opt int 200 & info [ "runs" ] ~docv:"K" ~doc:"Runs per schedule policy.")
+    Arg.(
+      value & opt positive_conv 200
+      & info [ "runs" ] ~docv:"K" ~doc:"Runs per schedule policy (at least 1).")
   in
   let lag_arg =
     Arg.(

@@ -33,15 +33,14 @@ let make ?(lag = default_lag) (sim : Sim.t) : (module Prims_intf.S) =
       let log = Vec.create () in
       Vec.push log v;
       let views = Array.make n 0 in
-      let reset () =
-        Vec.truncate log 1;
-        Array.fill views 0 n 0
-      in
       (* a volatile SC register loses its whole write log on any crash:
          survivors fall back to the creation value and, views being
          rewound too, monotonicity restarts from the wiped state *)
-      let wipe = if volatile then Some reset else None in
-      let id = Sim.custom_obj sim ?wipe ~reset () in
+      let wipe () =
+        Vec.truncate log 1;
+        Array.fill views 0 n 0
+      in
+      let id = Sim.custom_obj sim ?wipe:(if volatile then Some wipe else None) () in
       { log; views; id; name }
 
     let reg ~name v = make_reg ~volatile:false ~name v

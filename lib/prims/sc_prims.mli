@@ -24,8 +24,8 @@
 
     Registers integrate with the simulator via {!Scs_sim.Sim.custom_obj}
     /{!Scs_sim.Sim.custom_op}: operations are accounted, traced and
-    footprinted like built-in ones, and pooling ({!Scs_sim.Sim.reset})
-    rewinds logs and views. The partial-order-reduction contract holds:
+    footprinted like built-in ones, and a crash wipes a volatile
+    register's log and views. The partial-order-reduction contract holds:
     a read touches only the register's own log and the reading process's
     own cursor, so two reads of the same register commute. *)
 

@@ -32,7 +32,6 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     { n; router = R.create ~name ~shards ~buckets (); objs }
 
   let router t = t.router
-  let forget_built t = Array.iter Uc.Typed.forget_built t.objs
   let shards t = Array.length t.objs
   let buckets t = R.buckets t.router
 

@@ -69,9 +69,6 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   val shards : t -> int
   val buckets : t -> int
 
-  val forget_built : t -> unit
-  (** [Uc_object]'s [forget_built] on every shard. *)
-
   type h
 
   val handle : t -> pid:int -> h

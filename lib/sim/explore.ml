@@ -5,8 +5,6 @@ type outcome = {
   truncated_runs : int;
   pruned : int;
   steps_replayed : int;
-  sims_created : int;
-  sims_reused : int;
   wall_s : float;
 }
 
@@ -51,8 +49,6 @@ type ctx = {
   mutable truncated : bool;
   mutable stop : bool;
   mutable cached : Sim.t option;  (** the worker's pooled simulator *)
-  mutable created : int;  (** fresh [Sim.create]s *)
-  mutable reused : int;  (** [Sim.clear] rewinds instead of creates *)
 }
 
 let mk_ctx ~n ~obs ~setup ~check ~por ~max_depth ~max_schedules ~run_count =
@@ -73,8 +69,6 @@ let mk_ctx ~n ~obs ~setup ~check ~por ~max_depth ~max_schedules ~run_count =
     truncated = false;
     stop = false;
     cached = None;
-    created = 0;
-    reused = 0;
   }
 
 (* Charge one terminated run against the global budget; [true] iff the
@@ -91,11 +85,9 @@ let fresh_sim ctx =
   let sim =
     match ctx.cached with
     | Some s ->
-        ctx.reused <- ctx.reused + 1;
         Sim.clear s;
         s
     | None ->
-        ctx.created <- ctx.created + 1;
         let s = Sim.create ~obs:ctx.obs ~n:ctx.n () in
         ctx.cached <- Some s;
         s
@@ -339,7 +331,5 @@ let exhaustive ?(max_schedules = 200_000) ?(max_depth = 10_000) ?(por = false)
     truncated_runs = sum (fun c -> c.truncated_runs);
     pruned = sum (fun c -> c.pruned);
     steps_replayed = sum (fun c -> c.steps);
-    sims_created = sum (fun c -> c.created);
-    sims_reused = sum (fun c -> c.reused);
     wall_s = Unix.gettimeofday () -. t0;
   }

@@ -34,8 +34,7 @@
       schedules were checked may vary between runs.
 
     Backtrack replays reuse one pooled simulator per worker ({!Sim.clear}
-    plus a fresh [setup] instead of a fresh allocation); the outcome
-    reports the resulting create/reuse split. *)
+    plus a fresh [setup] instead of a fresh allocation). *)
 
 type outcome = {
   schedules : int;  (** maximal schedules checked (never exceeds budget) *)
@@ -45,10 +44,6 @@ type outcome = {
   pruned : int;  (** branches pruned by partial-order reduction *)
   steps_replayed : int;
       (** total simulator turns executed, including backtrack replays *)
-  sims_created : int;  (** fresh simulator allocations (one per worker) *)
-  sims_reused : int;
-      (** backtrack replays served by rewinding the worker's pooled
-          simulator ({!Sim.clear}) instead of allocating a fresh one *)
   wall_s : float;  (** wall-clock seconds for the whole exploration *)
 }
 

@@ -10,11 +10,6 @@ type pending = Pending : 'r Op.t * ('r, unit) Effect.Deep.continuation -> pendin
 type status =
   | Idle  (** no code installed *)
   | Ready of (unit -> unit)
-  | Parked of (unit, unit) Effect.Deep.continuation
-      (** re-armed from a fiber that completed its previous run: resuming
-          the continuation re-enters the spawn loop and runs the body
-          again on the same fiber stack, sparing {!reset} a fresh
-          [match_with] per process per run *)
   | Blocked of pending
   | Done
   | Crashed
@@ -28,23 +23,12 @@ type t = {
       (** bit [pid] set iff [status.(pid)] is [Ready _ | Blocked _]; the
           runnable set as a word-sized mask so the scheduler hot path never
           builds a list. Forces [n <= 62]. *)
-  code : (unit -> unit) option array;
-      (** code installed by {!spawn}, remembered so {!reset} can re-arm
-          the fibers without re-running workload setup *)
-  park : (unit, unit) Effect.Deep.continuation option array;
-      (** continuation captured when a fiber finishes a run (at the
-          [End_run] perform of the spawn loop); consumed by the next
-          {!reset} to re-arm the process as [Parked] on its existing
-          fiber stack instead of allocating a new one *)
   steps : int array;
   rmws : int array;
   raw_fences : int array;
   dirty_write : bool array;  (** wrote since last fence-inducing event *)
   mutable next_obj : int;
   mutable rmw_objs : int;
-  obj_resets : (unit -> unit) Vec.t;
-      (** one thunk per allocated object, rewinding it to its creation
-          value; replayed (up to the snapshot mark) by {!reset} *)
   volatile_wipes : (unit -> unit) Vec.t;
       (** one thunk per volatile object, rewinding it to its creation
           value; replayed by every {!crash} (the crash-recovery model's
@@ -60,11 +44,6 @@ type t = {
       (** number of pids with [recover_at >= 0]; guards the per-step
           admission scan so fail-stop runs pay one load per step *)
   recoveries : int array;  (** per-pid count of re-admissions this run *)
-  mutable snap_objs : int;
-  mutable snap_rmws : int;
-  mutable snap_resets : int;
-  mutable snap_wipes : int;
-  mutable snapped : bool;
   mutable record_trace : bool;
   trace : Mem_event.t Vec.t;
   pause_obj : int;
@@ -79,11 +58,6 @@ type t = {
 
 type _ Effect.t += Mem : 'r Op.t -> 'r Effect.t
 
-(* Performed by the spawn loop when a fiber's body returns; the handler
-   parks the continuation for reuse by the next [reset]. Never escapes
-   this module: fibers only ever run under {!handler}. *)
-type _ Effect.t += End_run : unit Effect.t
-
 let max_processes = 62
 
 let create ?(max_steps = 1_000_000) ?(obs = Scs_obs.Obs.null) ~n () =
@@ -97,25 +71,17 @@ let create ?(max_steps = 1_000_000) ?(obs = Scs_obs.Obs.null) ~n () =
     clock = 0;
     status = Array.make n Idle;
     runnable_bits = 0;
-    code = Array.make n None;
-    park = Array.make n None;
     steps = Array.make n 0;
     rmws = Array.make n 0;
     raw_fences = Array.make n 0;
     dirty_write = Array.make n false;
     next_obj = 1;
     rmw_objs = 0;
-    obj_resets = Vec.create ();
     volatile_wipes = Vec.create ();
     recov_code = Array.make n None;
     recover_at = Array.make n (-1);
     pending_recov = 0;
     recoveries = Array.make n 0;
-    snap_objs = 1;
-    snap_rmws = 0;
-    snap_resets = 0;
-    snap_wipes = 0;
-    snapped = false;
     record_trace = false;
     trace = Vec.create ();
     pause_obj = 0;
@@ -141,7 +107,6 @@ type 'a reg = { mutable rv : 'a; r_id : int; r_name : string }
 
 let reg t ?(volatile = false) ~name v =
   let r = { rv = v; r_id = fresh_obj t; r_name = name } in
-  Vec.push t.obj_resets (fun () -> r.rv <- v);
   if volatile then Vec.push t.volatile_wipes (fun () -> r.rv <- v);
   r
 
@@ -164,9 +129,7 @@ type tas_obj = { mutable t_set : bool; t_id : int; t_name : string }
 
 let tas_obj t ~name () =
   t.rmw_objs <- t.rmw_objs + 1;
-  let o = { t_set = false; t_id = fresh_obj t; t_name = name } in
-  Vec.push t.obj_resets (fun () -> o.t_set <- false);
-  o
+  { t_set = false; t_id = fresh_obj t; t_name = name }
 
 let test_and_set o =
   Effect.perform
@@ -205,9 +168,7 @@ type 'a cas_obj = { mutable c_v : 'a; c_id : int; c_name : string }
 
 let cas_obj t ~name v =
   t.rmw_objs <- t.rmw_objs + 1;
-  let o = { c_v = v; c_id = fresh_obj t; c_name = name } in
-  Vec.push t.obj_resets (fun () -> o.c_v <- v);
-  o
+  { c_v = v; c_id = fresh_obj t; c_name = name }
 
 let cas_read o =
   Effect.perform
@@ -234,9 +195,7 @@ type fai_obj = { mutable f_v : int; f_id : int; f_name : string }
 
 let fai_obj t ~name v =
   t.rmw_objs <- t.rmw_objs + 1;
-  let o = { f_v = v; f_id = fresh_obj t; f_name = name } in
-  Vec.push t.obj_resets (fun () -> o.f_v <- v);
-  o
+  { f_v = v; f_id = fresh_obj t; f_name = name }
 
 let fetch_and_inc o =
   Effect.perform
@@ -261,9 +220,7 @@ type 'a swap_obj = { mutable s_v : 'a; s_id : int; s_name : string }
 
 let swap_obj t ~name v =
   t.rmw_objs <- t.rmw_objs + 1;
-  let o = { s_v = v; s_id = fresh_obj t; s_name = name } in
-  Vec.push t.obj_resets (fun () -> o.s_v <- v);
-  o
+  { s_v = v; s_id = fresh_obj t; s_name = name }
 
 let swap o v =
   Effect.perform
@@ -292,10 +249,9 @@ let pause t =
 (* Custom backend objects                                              *)
 (* ------------------------------------------------------------------ *)
 
-let custom_obj t ?(rmw = false) ?wipe ~reset () =
+let custom_obj t ?(rmw = false) ?wipe () =
   if rmw then t.rmw_objs <- t.rmw_objs + 1;
   let id = fresh_obj t in
-  Vec.push t.obj_resets reset;
   (match wipe with None -> () | Some w -> Vec.push t.volatile_wipes w);
   id
 
@@ -333,12 +289,6 @@ let handler t pid : (unit, unit) Effect.Deep.handler =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 t.status.(pid) <- Blocked (Pending (op, k)))
-        | End_run ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                t.park.(pid) <- Some k;
-                t.status.(pid) <- Done;
-                t.runnable_bits <- t.runnable_bits land lnot (1 lsl pid))
         | _ -> None);
   }
 
@@ -346,28 +296,8 @@ let spawn t pid f =
   if pid < 0 || pid >= t.n then invalid_arg "Sim.spawn: pid out of range";
   match t.status.(pid) with
   | Idle ->
-      (* The loop keeps the fiber alive past the body's return: each
-         completed run parks at [End_run], and resuming re-runs the body
-         on the same stack. Observationally identical to a fresh fiber —
-         the first turn after (re-)arming executes up to the body's
-         first memory op without ticking the clock. Parking is gated on
-         [snapped] (the pooling opt-in): a one-shot simulator's fibers
-         return normally through [retc], handing their stack straight
-         back to the runtime's cache instead of pinning it until the
-         simulator is collected. *)
-      let g () =
-        let rec loop () =
-          f ();
-          if t.snapped then begin
-            Effect.perform End_run;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      t.status.(pid) <- Ready g;
-      t.runnable_bits <- t.runnable_bits lor (1 lsl pid);
-      t.code.(pid) <- Some g
+      t.status.(pid) <- Ready f;
+      t.runnable_bits <- t.runnable_bits lor (1 lsl pid)
   | _ -> invalid_arg "Sim.spawn: process already spawned"
 
 let is_runnable t pid = t.runnable_bits land (1 lsl pid) <> 0
@@ -377,7 +307,7 @@ type footprint = Local | Access of int * Op.kind
 let footprint t pid =
   match t.status.(pid) with
   | Blocked (Pending (op, _)) -> Access (op.Op.obj, op.Op.kind)
-  | Ready _ | Parked _ | Idle | Done | Crashed -> Local
+  | Ready _ | Idle | Done | Crashed -> Local
 
 let footprints_commute a b =
   match (a, b) with
@@ -392,7 +322,7 @@ let kind_code : Op.kind -> int = function Op.Read -> 0 | Op.Write -> 1 | Op.Rmw 
 let footprint_code t pid =
   match t.status.(pid) with
   | Blocked (Pending (op, _)) -> (op.Op.obj * 4) + kind_code op.Op.kind
-  | Ready _ | Parked _ | Idle | Done | Crashed -> -1
+  | Ready _ | Idle | Done | Crashed -> -1
 
 let codes_commute a b =
   a < 0 || b < 0 || a lsr 2 <> b lsr 2 || (a land 3 = 0 && b land 3 = 0)
@@ -435,11 +365,7 @@ let set_recovery t pid f =
 let has_recovery t pid = t.recov_code.(pid) <> None
 let pending_recoveries t = t.pending_recov
 
-(* Re-admit a crashed process: its recovery code runs on a fresh fiber.
-   Unlike spawned bodies, recovery fibers never park at [End_run] — a
-   parked recovery continuation would replay recovery (not the spawn
-   body) after {!reset}, so they finish through [retc] and {!reset}
-   re-arms the process from its remembered spawn code as usual. *)
+(* Re-admit a crashed process: its recovery code runs on a fresh fiber. *)
 let admit_recovery t pid =
   match t.recov_code.(pid) with
   | None -> assert false
@@ -516,13 +442,6 @@ let step t pid =
       (* will be overwritten by the handler or retc *)
       Effect.Deep.match_with f () (handler t pid);
       t.cur_pid <- -1
-  | Parked k ->
-      t.status.(pid) <- Done;
-      t.cur_pid <- pid;
-      (* resumes the spawn loop: runs the body up to its first memory op,
-         exactly as starting a Ready fiber does *)
-      Effect.Deep.continue k ();
-      t.cur_pid <- -1
   | Blocked (Pending (op, k)) ->
       t.status.(pid) <- Done;
       t.cur_pid <- pid;
@@ -535,7 +454,7 @@ let step t pid =
 let crash ?recover_after t pid =
   match t.status.(pid) with
   | Idle | Done | Crashed -> ()
-  | Ready _ | Parked _ | Blocked _ ->
+  | Ready _ | Blocked _ ->
       (* The pending continuation is abandoned: the process takes no more
          steps, exactly as a crash failure in the model. Every crash
          additionally wipes all volatile objects (the model's shared
@@ -580,73 +499,11 @@ let run ?capture ?(crashes = []) t policy =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Pooling: snapshot / reset / clear                                   *)
+(* Rewinding                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let snapshot t =
-  Array.iter
-    (fun st ->
-      match st with
-      | Idle | Ready _ -> ()
-      | Parked _ | Blocked _ | Done | Crashed ->
-          invalid_arg "Sim.snapshot: simulator already ran (snapshot must precede the first step)")
-    t.status;
-  t.snap_objs <- t.next_obj;
-  t.snap_rmws <- t.rmw_objs;
-  t.snap_resets <- Vec.length t.obj_resets;
-  t.snap_wipes <- Vec.length t.volatile_wipes;
-  t.snapped <- true
-
-let reset t =
-  if not t.snapped then invalid_arg "Sim.reset: no snapshot taken";
-  (* Rewind every snapshotted object to its creation value; objects
-     allocated after the snapshot (from inside fibers) are dropped. *)
-  for i = 0 to t.snap_resets - 1 do
-    (Vec.get t.obj_resets i) ()
-  done;
-  Vec.truncate t.obj_resets t.snap_resets;
-  Vec.truncate t.volatile_wipes t.snap_wipes;
-  t.next_obj <- t.snap_objs;
-  t.rmw_objs <- t.snap_rmws;
-  (* Re-arm the fibers: a process that completed its last run parked its
-     continuation, so resume it on the same fiber stack; a process left
-     mid-run (livelock abort, crash, policy stop) gets a fresh fiber
-     from the remembered spawn code. A [Parked] process that was never
-     scheduled last run is still armed — keep it. *)
-  t.runnable_bits <- 0;
-  for pid = 0 to t.n - 1 do
-    (match t.park.(pid) with
-    | Some k ->
-        t.park.(pid) <- None;
-        t.status.(pid) <- Parked k
-    | None -> (
-        match t.status.(pid) with
-        | Parked _ -> ()
-        | _ -> (
-            match t.code.(pid) with
-            | Some f -> t.status.(pid) <- Ready f
-            | None -> t.status.(pid) <- Idle)));
-    match t.status.(pid) with
-    | Ready _ | Parked _ -> t.runnable_bits <- t.runnable_bits lor (1 lsl pid)
-    | _ -> ()
-  done;
-  t.clock <- 0;
-  t.cur_pid <- -1;
-  Array.fill t.steps 0 t.n 0;
-  Array.fill t.rmws 0 t.n 0;
-  Array.fill t.raw_fences 0 t.n 0;
-  Array.fill t.dirty_write 0 t.n false;
-  (* Recovery entry points survive (they were installed by [setup], like
-     spawn code); pending re-admissions and counters do not. *)
-  Array.fill t.recover_at 0 t.n (-1);
-  Array.fill t.recoveries 0 t.n 0;
-  t.pending_recov <- 0;
-  Vec.clear t.trace
 
 let clear t =
   Array.fill t.status 0 t.n Idle;
-  Array.fill t.code 0 t.n None;
-  Array.fill t.park 0 t.n None;
   t.runnable_bits <- 0;
   t.clock <- 0;
   t.cur_pid <- -1;
@@ -656,17 +513,11 @@ let clear t =
   Array.fill t.dirty_write 0 t.n false;
   t.next_obj <- 1;
   t.rmw_objs <- 0;
-  Vec.clear t.obj_resets;
   Vec.clear t.volatile_wipes;
   Array.fill t.recov_code 0 t.n None;
   Array.fill t.recover_at 0 t.n (-1);
   Array.fill t.recoveries 0 t.n 0;
   t.pending_recov <- 0;
-  t.snap_objs <- 1;
-  t.snap_rmws <- 0;
-  t.snap_resets <- 0;
-  t.snap_wipes <- 0;
-  t.snapped <- false;
   Vec.clear t.trace
 
 (* ------------------------------------------------------------------ *)

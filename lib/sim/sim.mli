@@ -98,21 +98,19 @@ val pause : t -> unit
     Entry points for primitive backends implemented outside this module
     (e.g. the sequentially-consistent register backend
     [Scs_prims.Sc_prims]): allocate an object id in the simulator's
-    census with a pooling reset thunk, and perform scheduled memory
-    operations against it. Custom operations flow through the ordinary
-    effect pipeline, so accounting, tracing, observability, footprints
-    and partial-order reduction see them exactly like built-in objects.
+    census, and perform scheduled memory operations against it. Custom
+    operations flow through the ordinary effect pipeline, so accounting,
+    tracing, observability, footprints and partial-order reduction see
+    them exactly like built-in objects.
 
     Soundness contract for {!footprints_commute}: a custom operation's
     [run] closure must touch only state owned by object [obj] (plus
     state private to the running process), and two [Read]-kind
     operations on the same object by different processes must commute. *)
 
-val custom_obj : t -> ?rmw:bool -> ?wipe:(unit -> unit) -> reset:(unit -> unit) -> unit -> int
-(** Allocate a fresh object id. [reset] must rewind the backing state to
-    its creation value; it is replayed by {!reset} like any built-in
-    object's thunk. [rmw] (default false) counts the object in the
-    consensus-power census ({!rmw_objects_allocated}). [wipe], if
+val custom_obj : t -> ?rmw:bool -> ?wipe:(unit -> unit) -> unit -> int
+(** Allocate a fresh object id. [rmw] (default false) counts the object
+    in the consensus-power census ({!rmw_objects_allocated}). [wipe], if
     given, marks the object volatile: the thunk is run by every
     {!crash}, and must rewind the backing state to whatever the model
     says a power loss leaves behind (usually the creation value). *)
@@ -132,7 +130,7 @@ val running_pid : t -> pid
 
 val spawn : t -> pid -> (unit -> unit) -> unit
 (** Install the code of process [pid]. A process may be spawned at most once
-    per simulator. *)
+    per simulator, or since its last {!clear}. *)
 
 val runnable : t -> pid list
 (** Pids that can take a step now (spawned, not finished, not crashed). *)
@@ -210,8 +208,8 @@ val set_recovery : t -> pid -> (unit -> unit) -> unit
     for it. The code must be {e idempotent} in the algorithm's sense: it
     can run after a crash at any point of the process's execution,
     including part-way through a previous recovery. Installing again
-    replaces the previous entry point; entry points survive {!reset}
-    (like spawn code) and are forgotten by {!clear}. *)
+    replaces the previous entry point; {!clear} forgets entry points
+    along with spawn code. *)
 
 val has_recovery : t -> pid -> bool
 
@@ -247,45 +245,21 @@ val run : ?capture:pid Scs_util.Vec.t -> ?crashes:Crash.t list -> t -> (t -> int
     captured schedule replayed with [Policy.scripted ~strict:true] under
     the same [crashes] reproduces the run exactly. *)
 
-(** {1 Pooling}
+(** {1 Rewinding}
 
-    A simulator's arenas (status/counter arrays, object-reset thunks,
-    trace buffer) are reusable across runs, so harness cost is paid once
-    per pooled instance instead of once per schedule.
-
-    Two rewind points are offered: {!reset} rewinds to the post-[setup]
-    snapshot (objects restored to their creation values, fibers re-armed
-    from their spawned code — for drivers whose workload state lives
-    entirely in simulator objects), while {!clear} rewinds all the way to
-    the post-[create] empty state keeping only array/buffer capacity (for
-    generic workloads whose [setup] captures external mutable state and
-    must therefore re-run per schedule). *)
-
-val snapshot : t -> unit
-(** Mark the current state — spawned code and allocated objects — as the
-    reset point. Must be called before the first step (every process
-    still [Idle] or freshly spawned); raises [Invalid_argument]
-    otherwise. *)
-
-val reset : t -> unit
-(** Rewind to the {!snapshot} point: every snapshotted object back to its
-    creation value, objects allocated after the snapshot dropped, fibers
-    re-armed from their spawn code, clock/step/fence counters zeroed and
-    the trace buffer cleared (capacity kept). The obs sink is not touched
-    — it keeps accumulating across runs, as when driving fresh
-    simulators. Safe after any outcome, including {!Livelock} and
-    {!Process_failure} (abandoned continuations are garbage-collected).
-    Raises [Invalid_argument] if no snapshot was taken.
-
-    Soundness caveat: [reset] rewinds simulator-owned state only. Spawn
-    code whose closure mutates state outside the simulator (recorders,
-    rngs, accumulators) must be re-armed by the caller. *)
+    A simulator's arenas (status/counter arrays, trace buffer) are
+    reusable across runs: a batch driver rewinds one simulator with
+    {!clear} and runs its workload [setup] again, instead of allocating
+    a simulator per run. *)
 
 val clear : t -> unit
 (** Rewind to the post-[create] state: no processes spawned, no objects,
-    counters zeroed, any snapshot forgotten — but every arena keeps its
-    capacity, so a subsequent [setup]+run allocates almost nothing. The
-    obs sink is not touched. *)
+    no recovery entry points, counters zeroed — but every arena keeps
+    its capacity, so a subsequent [setup]+run allocates almost nothing.
+    Safe after any outcome, including {!Livelock} and {!Process_failure}
+    (abandoned continuations are garbage-collected). The obs sink is not
+    touched: it keeps accumulating across runs, as when driving fresh
+    simulators. *)
 
 (** {1 Accounting} *)
 
@@ -303,7 +277,7 @@ val rmw_objects_allocated : t -> int
 
 val recoveries_of : t -> pid -> int
 val total_recoveries : t -> int
-(** Re-admissions after a crash, this run (zeroed by {!reset}/{!clear}). *)
+(** Re-admissions after a crash, this run (zeroed by {!clear}). *)
 
 val volatile_objects_allocated : t -> int
 (** Number of objects in the volatile tier (wiped by every crash). *)

@@ -72,15 +72,6 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     ignore (stage t 0);
     t
 
-  let forget_built t =
-    let _, chunks = Option.get (Atomic.get t.ucs.(0)) in
-    for c = 1 to Array.length chunks - 1 do
-      Atomic.set chunks.(c) None
-    done;
-    for i = 1 to Array.length t.ucs - 1 do
-      Atomic.set t.ucs.(i) None
-    done
-
   type 'i phandle = {
     t : 'i t;
     pid : int;
@@ -111,7 +102,6 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     type ('q, 'i, 'r) obj = { spec : ('q, 'i, 'r) Spec.t; chain : 'i t }
 
     let create spec chain = { spec; chain }
-    let forget_built (o : (_, _, _) obj) = forget_built o.chain
 
     (* The response cache: [state] is the spec state after the first
        [applied] entries of stage [stage]'s commit log, [responses] those

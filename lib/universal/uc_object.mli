@@ -44,12 +44,6 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       rejects objects allocated mid-run, POR exploration of a UC ends at
       slot 8. *)
 
-  val forget_built : 'i t -> unit
-  (** Drop every lazily built part: the fallback stages and stage 0's
-      chunks past the first, so the next use builds them afresh. For a
-      harness that rewinds the simulator with [Sim.reset], which drops
-      the objects those parts allocated. *)
-
   type 'i phandle
 
   val phandle : 'i t -> pid:int -> 'i phandle
@@ -70,7 +64,6 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     type ('q, 'i, 'r) obj
 
     val create : ('q, 'i, 'r) Spec.t -> 'i t -> ('q, 'i, 'r) obj
-    val forget_built : ('q, 'i, 'r) obj -> unit
 
     type ('q, 'i, 'r) handle
     (** A process's {!phandle} plus its response cache: the spec state

@@ -33,9 +33,8 @@ val make_instance :
   (module Scs_prims.Prims_intf.S) ->
   'a Scs_consensus.Consensus_intf.t
 (** Build the algorithm instance on a primitives module (all mutable
-    state lives in the underlying simulator's objects — used by the
-    pooled {!Obs_run} drivers, which rewind that state between runs
-    with [Sim.reset]). *)
+    state lives in the underlying simulator's objects); {!Obs_run}
+    builds one per run. *)
 
 val propose :
   obs:Scs_obs.Obs.t ->

@@ -61,19 +61,9 @@ let install_shard ~backend ~obs ~n sim =
     S.create ~name:"svc" ~n ~shards:shard_shards ~buckets:shard_buckets
       ~capacity:(max 64 (8 * n)) ()
   in
-  let handles = Array.init n (fun pid -> S.handle svc ~pid) in
   let rt = S.router svc in
-  (* [Sim.reset] rewinds what the service built up front but drops the
-     objects of every lazily built fallback stage and slot chunk, and
-     per-pid handles cache log cursors: the rearm hook forgets the lazily
-     built parts and rebuilds the handles before every run *)
-  let rearm () =
-    S.forget_built svc;
-    for pid = 0 to n - 1 do
-      handles.(pid) <- S.handle svc ~pid
-    done
-  in
   for pid = 0 to n - 1 do
+    let h = S.handle svc ~pid in
     Sim.spawn sim pid (fun () ->
         List.iter
           (fun req ->
@@ -84,7 +74,7 @@ let install_shard ~backend ~obs ~n sim =
                 .S.R.owner
             in
             Obs.op_begin obs ~pid ~obj:owner ~label:(Printf.sprintf "shard%d" owner);
-            (match S.apply handles.(pid) req with
+            (match S.apply h req with
             | S.Done _ -> Obs.op_end obs ~pid ~aborted:false
             | S.Gave_up ->
                 Obs.abort obs ~pid;
@@ -95,8 +85,7 @@ let install_shard ~backend ~obs ~n sim =
             Scs_shard.Kv.Get (pid mod keys);
             Scs_shard.Kv.Put ((pid + 1) mod keys, 200 + pid);
           ])
-  done;
-  rearm
+  done
 
 let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
   let ops = Obs.op_metrics obs in
@@ -124,17 +113,21 @@ let aggregate ~workload ~backend ~n ~runs ~wall (obs : Obs.t) =
     objects = Obs.objects obs;
   }
 
-(* Install the target's shared objects and fibers once on [sim] (whose
-   sink is [obs]). Tas and Cons targets use the builders and obs
-   brackets of [Tas_run.one_shot] / [Cons_run.run] but none of their
-   tracing scaffolding: the batch aggregate only reads the sink. All
-   algorithm state lives in simulator objects, so [Sim.reset] rewinds a
-   finished (or livelocked) run back to this installed state; the
-   sharded target's UCs also keep host-level cells for their fallback
-   stages, which its rearm hook clears. Returns the per-run rearm hook, fed the run's derived rng
-   for targets whose operations consume randomness. *)
-let install ~backend ~obs ~target ~n sim =
+(* One run's setup on an empty [sim] (whose sink is [obs]): build the
+   target's shared objects, spawn one bracketed operation script per
+   pid, then consume the run's rng after its crash draws. Tas and Cons
+   targets use the builders and obs brackets of [Tas_run.one_shot] /
+   [Cons_run.run] but none of their tracing scaffolding: the batch
+   aggregate only reads the sink. They also derive a run seed from the
+   rng (Tournament's per-pid coins are split from it) ahead of the
+   policy stream. Returns the policy's rng. *)
+let install ~backend ~obs ~target ~n sim rng =
   let module P = (val Scs_prims.Backend.sim_prims backend sim) in
+  let derived reseed =
+    let rng2 = Rng.create (Rng.int rng 0x3FFFFFFF) in
+    reseed rng2;
+    Rng.split rng2
+  in
   match target with
   | A1 ->
       let module M = Scs_tas.A1.Make (P) in
@@ -147,7 +140,7 @@ let install ~backend ~obs ~target ~n sim =
             if aborted then Obs.abort obs ~pid;
             Obs.op_end obs ~pid ~aborted)
       done;
-      fun _ -> ()
+      rng
   | Tas algo ->
       let t = Tas_run.build ~n ~algo (module P) in
       for pid = 0 to n - 1 do
@@ -156,10 +149,10 @@ let install ~backend ~obs ~target ~n sim =
             ignore (Tas_run.test_and_set ~obs t ~pid);
             Obs.op_end obs ~pid ~aborted:false)
       done;
-      Tas_run.reseed_coins t
+      derived (Tas_run.reseed_coins t)
   | Shard ->
-      let rearm = install_shard ~backend ~obs ~n sim in
-      fun _ -> rearm ()
+      install_shard ~backend ~obs ~n sim;
+      rng
   | Cons algo ->
       let inst : int Scs_consensus.Consensus_intf.t =
         Cons_run.make_instance ~algo ~n (module P)
@@ -167,33 +160,17 @@ let install ~backend ~obs ~target ~n sim =
       for pid = 0 to n - 1 do
         Sim.spawn sim pid (fun () -> ignore (Cons_run.propose ~obs ~algo inst ~pid (100 + pid)))
       done;
-      fun _ -> ()
+      derived ignore
 
-(* One run's rng chain after its crash draws: Tas and Cons targets
-   derive a run seed (Tournament's per-pid rngs are split from it), then
-   the policy stream. Returns the policy's rng. *)
-let arm_run ~target ~rearm rng =
-  match target with
-  | A1 -> rng
-  | Shard ->
-      rearm rng;
-      rng
-  | Tas _ | Cons _ ->
-      let rng2 = Rng.create (Rng.int rng 0x3FFFFFFF) in
-      rearm rng2;
-      Rng.split rng2
-
-(* One stream's share of a batch: a single simulator installed once and
-   rewound with [Sim.reset] per run, before the run's rearm hook. *)
+(* One stream's share of a batch: a single simulator, rewound with
+   [Sim.clear] and installed again before each run after the first. *)
 let run_stream ~backend ~target ~n ~policy ~crash_prob ~obs ~prng ~runs =
   let sim = Sim.create ~obs ~n () in
-  let rearm = install ~backend ~obs ~target ~n sim in
-  Sim.snapshot sim;
   for i = 1 to runs do
     let rng = Rng.split prng in
     let crashes = Fuzz.gen_crash_events ~prob:crash_prob ~recover:false rng n 15 in
-    if i > 1 then Sim.reset sim;
-    let pol_rng = arm_run ~target ~rearm rng in
+    if i > 1 then Sim.clear sim;
+    let pol_rng = install ~backend ~obs ~target ~n sim rng in
     (* consensus targets draw crashes but never inject them *)
     let crashes = match target with Cons _ -> [] | _ -> crashes in
     try Sim.run ~crashes sim (policy pol_rng) with Sim.Livelock _ -> ()
@@ -231,8 +208,7 @@ let solo ?(backend = Scs_prims.Backend.default) target ~n =
   let obs = Obs.create ~n () in
   let t0 = Unix.gettimeofday () in
   let sim = Sim.create ~obs ~n () in
-  let rearm = install ~backend ~obs ~target ~n sim in
-  ignore (arm_run ~target ~rearm (Rng.create 1));
+  ignore (install ~backend ~obs ~target ~n sim (Rng.create 1));
   Sim.run sim (Policy.solo 0);
   let wall = Unix.gettimeofday () -. t0 in
   let agg = aggregate ~workload:(target_name target) ~backend ~n ~runs:1 ~wall obs in

@@ -63,8 +63,8 @@ val measure :
     crashes each pid with that probability after 1–15 steps, drawn by
     the fuzzer's {!Scs_sim.Fuzz.gen_crash_events}. Raises [Invalid_argument] if the
     batch completes zero operations. The batch runs on one simulator
-    per stream, installed once and rewound with [Sim.reset] before each
-    run after the first, ahead of the run's rearm hook.
+    per stream, rewound with {!Scs_sim.Sim.clear} and {!install}ed
+    again before each run after the first.
 
     [gen_domains] (default 1) splits the batch into that many streams
     with {!Scs_sim.Streams.run}, each with its own simulator and private
@@ -73,14 +73,14 @@ val measure :
     so per-op metrics aggregate a different (but seed-stable) sample of
     schedules. A custom [policy] closure must be domain-safe. *)
 
-(** {1 Building blocks of one run}
+(** {1 One run}
 
     One run of {!measure}'s batch, exposed so a fresh-simulator loop can
-    be checked against the batch's [Sim.reset] reuse: draw
+    be checked against the batch's reuse of one simulator: draw
     [crashes = Fuzz.gen_crash_events ~prob:crash_prob ~recover:false rng
-    n 15], then [pol_rng = arm_run ~target ~rearm rng], then
-    [Sim.run ~crashes sim (policy pol_rng)], with [crashes] emptied for
-    [Cons] targets. *)
+    n 15], then [pol_rng = install ~backend ~obs ~target ~n sim rng],
+    then [Sim.run ~crashes sim (policy pol_rng)], with [crashes] emptied
+    for [Cons] targets. *)
 
 val install :
   backend:Scs_prims.Backend.t ->
@@ -89,20 +89,11 @@ val install :
   n:int ->
   Sim.t ->
   Scs_util.Rng.t ->
-  unit
-(** [install ~backend ~obs ~target ~n sim] allocates the target's shared
-    objects on [sim] (whose sink must be [obs]) and spawns one
-    bracketed operation script per pid. Returns the rearm hook, which
-    must be applied (through {!arm_run}) before each run, after any
-    {!Sim.reset}: it rebuilds per-pid state that {!Sim.reset} does not
-    rewind. The [sharded] target's hook also makes its UCs forget the
-    fallback stages built in the last run, whose objects the reset
-    dropped. *)
-
-val arm_run :
-  target:target -> rearm:(Scs_util.Rng.t -> unit) -> Scs_util.Rng.t -> Scs_util.Rng.t
-(** Consume the run's rng after its crash draws, apply [rearm], and
-    return the policy's rng. *)
+  Scs_util.Rng.t
+(** [install ~backend ~obs ~target ~n sim rng] allocates the target's
+    shared objects on [sim] (empty, and whose sink must be [obs]),
+    spawns one bracketed operation script per pid, reseeds the
+    target's own randomness from [rng] and returns the policy's rng. *)
 
 val solo : ?backend:Scs_prims.Backend.t -> target -> n:int -> agg
 (** One run in which process 0 executes alone ({!Policy.solo}): the

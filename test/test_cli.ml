@@ -1,7 +1,7 @@
-(* Usage errors of the scs binary: out-of-range process and run counts
-   are rejected by the argument parser (cmdliner's exit status 124 and a
-   message naming the option) instead of failing inside a run or
-   reporting a vacuous result. *)
+(* Usage errors of the scs binary: out-of-range process counts, run
+   counts and exploration budgets are rejected by the argument parser
+   (cmdliner's exit status 124 and a message naming the option) instead
+   of failing inside a run or reporting a vacuous result. *)
 
 let scs =
   List.fold_left Filename.concat (Filename.dirname Sys.executable_name) [ ".."; "bin"; "scs.exe" ]
@@ -33,6 +33,9 @@ let test_bad_counts_are_usage_errors () =
       ([ "stats"; "-n"; "70" ], "70 is not in 1..62");
       ([ "stats"; "--ns"; "2,0" ], "0 is not in 1..62");
       ([ "stats"; "--runs"; "0" ], "0 is below 1");
+      ([ "fuzz"; "--workload"; "splitter"; "--runs"; "0" ], "0 is below 1");
+      ([ "difffuzz"; "--workload"; "splitter"; "--runs"; "0" ], "0 is below 1");
+      ([ "explore"; "-n"; "3"; "--budget"; "0" ], "0 is below 1");
       ([ "simulate"; "-n"; "0" ], "0 is not in 1..62");
     ];
   (* the bounds themselves are accepted *)
@@ -44,6 +47,8 @@ let test_bad_counts_are_usage_errors () =
       [ "stats"; "--target"; "a1"; "-n"; "1"; "--runs"; "1" ];
       [ "stats"; "--target"; "a1"; "--ns"; "62"; "--runs"; "1" ];
       [ "fuzz"; "--workload"; "splitter"; "-n"; "1"; "--runs"; "1" ];
+      [ "difffuzz"; "--workload"; "splitter"; "-n"; "1"; "--runs"; "1" ];
+      [ "explore"; "-n"; "2"; "--budget"; "1" ];
     ]
 
 let tests =

@@ -102,22 +102,24 @@ let test_counters_and_objects () =
       Alcotest.(check int) "its rmws" 2 rmws
   | [] -> Alcotest.fail "object census empty"
 
-(* An object allocated mid-run takes the simulator id that a differently
-   named object had in the previous pooled run. The census keeps each
-   one's steps under its own name, in the sink and through a merge. *)
+(* An object takes the simulator id that a differently named object had
+   in the previous run on the same simulator, rewound with [Sim.clear].
+   The census keeps each one's steps under its own name, in the sink and
+   through a merge. *)
 let test_census_id_reuse () =
   let obs = Obs.create ~n:1 () in
   let sim = Sim.create ~obs ~n:1 () in
-  let run = ref 0 in
-  Sim.spawn sim 0 (fun () ->
-      let r = Sim.reg sim ~name:(if !run = 0 then "first" else "second") 0 in
-      for _ = 0 to !run do
-        ignore (Sim.read r)
-      done);
-  Sim.snapshot sim;
+  let setup ~name ~reads =
+    let r = Sim.reg sim ~name 0 in
+    Sim.spawn sim 0 (fun () ->
+        for _ = 1 to reads do
+          ignore (Sim.read r)
+        done)
+  in
+  setup ~name:"first" ~reads:1;
   Sim.run sim (Policy.solo 0);
-  incr run;
-  Sim.reset sim;
+  Sim.clear sim;
+  setup ~name:"second" ~reads:2;
   Sim.run sim (Policy.solo 0);
   let census = Alcotest.(list (triple string int int)) in
   Alcotest.(check census) "each name keeps its steps" [ ("second", 2, 0); ("first", 1, 0) ]

@@ -8,10 +8,9 @@
    are bit-identical: same schedules, same verdicts, same obs counters,
    for every portfolio policy including the crash-injecting ones. These
    tests enforce that contract, the same one for [Obs_run.measure]'s
-   install-once batches ([fresh_obs_run]), plus [Sim.snapshot]/
-   [Sim.reset] rewind correctness and recovery after [Livelock] and
-   [Process_failure], and the [Streams] split both engines fan out
-   with. *)
+   batches ([fresh_obs_run]), plus recovery of a [Sim.clear] rewind
+   after [Livelock] and [Process_failure], and the [Streams] split both
+   engines fan out with. *)
 
 open Scs_sim
 open Scs_workload
@@ -245,10 +244,10 @@ let test_pooled_vs_fresh_obs () =
         (List.length (O.op_metrics b)))
     seeds
 
-(* [Obs_run.measure] installs a target once per domain and rewinds it
-   with [Sim.reset] plus the target's rearm hook between runs. This
-   fresh loop installs every run on a new simulator instead, feeding one
-   sink along the same rng chain. *)
+(* [Obs_run.measure] keeps one simulator per stream, rewinding it with
+   [Sim.clear] and installing the target again between runs. This fresh
+   loop installs every run on a new simulator instead, feeding one sink
+   along the same rng chain. *)
 let fresh_obs_run ~runs ~seed ~crash_prob target ~n =
   let backend = Scs_prims.Backend.default in
   let obs = Scs_obs.Obs.create ~record_ring:false ~n () in
@@ -257,8 +256,7 @@ let fresh_obs_run ~runs ~seed ~crash_prob target ~n =
     let rng = Scs_util.Rng.split prng in
     let crashes = Fuzz.gen_crash_events ~prob:crash_prob ~recover:false rng n 15 in
     let sim = Sim.create ~obs ~n () in
-    let rearm = Obs_run.install ~backend ~obs ~target ~n sim in
-    let pol_rng = Obs_run.arm_run ~target ~rearm rng in
+    let pol_rng = Obs_run.install ~backend ~obs ~target ~n sim rng in
     let crashes = match target with Obs_run.Cons _ -> [] | _ -> crashes in
     try Sim.run ~crashes sim (Policy.random pol_rng) with Sim.Livelock _ -> ()
   done;
@@ -289,74 +287,10 @@ let test_obs_run_vs_fresh () =
         [ 0.0; 0.3 ])
     (List.filter_map Obs_run.target_of_string (Obs_run.target_names ()))
 
-(* A little workload touching every object class, with a mid-run
-   allocation so reset has something to truncate. *)
-let setup_kitchen_sink sim =
-  let r = Sim.reg sim ~name:"r" 0 in
-  let t = Sim.tas_obj sim ~name:"t" () in
-  let c = Sim.cas_obj sim ~name:"c" 10 in
-  let f = Sim.fai_obj sim ~name:"f" 0 in
-  let s = Sim.swap_obj sim ~name:"s" "init" in
-  Sim.spawn sim 0 (fun () ->
-      Sim.write r 1;
-      ignore (Sim.test_and_set t);
-      ignore (Sim.compare_and_swap c ~expect:10 ~update:11);
-      (* allocated mid-run: must disappear on reset *)
-      let extra = Sim.reg sim ~name:"extra" 99 in
-      Sim.write extra 100;
-      ignore (Sim.read extra));
-  Sim.spawn sim 1 (fun () ->
-      ignore (Sim.fetch_and_inc f);
-      ignore (Sim.swap s "one");
-      ignore (Sim.read r));
-  Sim.spawn sim 2 (fun () ->
-      ignore (Sim.tas_read t);
-      ignore (Sim.cas_read c);
-      ignore (Sim.fai_read f))
-
-(* snapshot/reset rewinds the simulator to its post-setup state:
-   replaying the same schedule after reset reproduces the fresh run's
-   trace, counters and object values, and mid-run allocations are
-   rolled back. *)
-let test_snapshot_reset_differential () =
-  let run_once sim rng_seed =
-    let rng = Scs_util.Rng.create rng_seed in
-    Sim.run sim (Policy.random rng);
-    (Sim.trace sim, Sim.clock sim, Sim.total_steps sim, Sim.total_rmws sim,
-     Sim.objects_allocated sim)
-  in
-  let fresh_of seed =
-    let sim = Sim.create ~n:3 () in
-    Sim.set_trace sim true;
-    setup_kitchen_sink sim;
-    run_once sim seed
-  in
-  let sim = Sim.create ~n:3 () in
-  Sim.set_trace sim true;
-  setup_kitchen_sink sim;
-  Sim.snapshot sim;
-  let objs0 = Sim.objects_allocated sim in
-  List.iter
-    (fun seed ->
-      let (trace, clock, steps, rmws, objs) = run_once sim seed in
-      let (ftrace, fclock, fsteps, frmws, fobjs) = fresh_of seed in
-      Alcotest.(check int) "clock matches fresh" fclock clock;
-      Alcotest.(check int) "steps match fresh" fsteps steps;
-      Alcotest.(check int) "rmws match fresh" frmws rmws;
-      Alcotest.(check int) "allocations match fresh" fobjs objs;
-      Alcotest.(check int) "trace length" (List.length ftrace) (List.length trace);
-      if trace <> ftrace then Alcotest.failf "trace diverged from fresh sim (seed %d)" seed;
-      Sim.reset sim;
-      Alcotest.(check int) "reset rewinds clock" 0 (Sim.clock sim);
-      Alcotest.(check int) "reset truncates mid-run allocations" objs0
-        (Sim.objects_allocated sim);
-      Alcotest.(check int) "reset re-arms all fibers" 3 (Sim.runnable_count sim))
-    [ 5; 42; 5 (* same seed twice: reset must be idempotent *) ]
-
-(* Reset after Livelock: the budget blowup leaves fibers mid-flight;
-   reset must rewind to a state from which a bounded fresh-equivalent
-   run succeeds. *)
-let test_reset_after_livelock () =
+(* Rewind after Livelock: the budget blowup leaves fibers mid-flight;
+   [Sim.clear] plus a second setup must give a state from which a
+   bounded fresh-equivalent run succeeds. *)
+let test_clear_after_livelock () =
   let spin sim =
     for pid = 0 to 1 do
       Sim.spawn sim pid (fun () ->
@@ -368,12 +302,13 @@ let test_reset_after_livelock () =
   in
   let sim = Sim.create ~max_steps:10 ~n:2 () in
   spin sim;
-  Sim.snapshot sim;
   (match Sim.run sim (Policy.round_robin ()) with
   | () -> Alcotest.failf "expected Livelock"
   | exception Sim.Livelock _ -> ());
-  Sim.reset sim;
+  Sim.clear sim;
   Alcotest.(check int) "clock rewound" 0 (Sim.clock sim);
+  Alcotest.(check int) "objects dropped" 0 (Sim.objects_allocated sim);
+  spin sim;
   Alcotest.(check int) "fibers re-armed" 2 (Sim.runnable_count sim);
   (* a bounded scripted prefix now behaves like a fresh sim's *)
   let script = [| 0; 0; 0; 1; 1 |] in
@@ -382,29 +317,33 @@ let test_reset_after_livelock () =
     Sim.run sim (Policy.scripted ~strict:true script);
     Sim.trace sim
   in
-  let reset_trace = go sim in
+  let cleared_trace = go sim in
   let fresh = Sim.create ~max_steps:10 ~n:2 () in
   spin fresh;
   let fresh_trace = go fresh in
-  Alcotest.(check int) "prefix length" (List.length fresh_trace) (List.length reset_trace);
-  if reset_trace <> fresh_trace then Alcotest.failf "post-livelock replay diverged"
+  Alcotest.(check int) "prefix length" (List.length fresh_trace) (List.length cleared_trace);
+  if cleared_trace <> fresh_trace then Alcotest.failf "post-livelock replay diverged"
 
-(* Reset after Process_failure: the failing run is deterministic, reset
-   rewinds object state (the register written before the raise), and
-   the failure reproduces identically on the next run. *)
-let test_reset_after_process_failure () =
+(* Rewind after Process_failure: the failing run is deterministic,
+   [Sim.clear] plus a second setup gives fresh object state (the
+   register written before the raise), and the failure reproduces
+   identically on the next run. *)
+let test_clear_after_process_failure () =
   let sim = Sim.create ~n:2 () in
   Sim.set_trace sim true;
-  let r = Sim.reg sim ~name:"pf" 0 in
-  Sim.spawn sim 0 (fun () ->
-      Sim.write r 7;
-      failwith "boom");
-  Sim.spawn sim 1 (fun () ->
-      (* the extra write happens iff the register holds its initial
-         value, so a stale (un-rewound) register shows up as a missing
-         trace event — and as Replay_drift under the strict script *)
-      if Sim.read r = 0 then Sim.write r 1);
-  Sim.snapshot sim;
+  let setup () =
+    let r = Sim.reg sim ~name:"pf" 0 in
+    Sim.spawn sim 0 (fun () ->
+        Sim.write r 7;
+        failwith "boom");
+    Sim.spawn sim 1 (fun () ->
+        (* the extra write happens iff the register holds its initial
+           value, so state carried over from the failed run shows up as
+           a missing trace event — and as Replay_drift under the strict
+           script *)
+        if Sim.read r = 0 then Sim.write r 1)
+  in
+  setup ();
   let observe () =
     match Sim.run sim (Policy.scripted ~strict:true [| 1; 1; 1; 0; 0 |]) with
     | () -> Alcotest.failf "expected Process_failure"
@@ -412,8 +351,10 @@ let test_reset_after_process_failure () =
         (pid, Printexc.to_string e, Sim.clock sim, Sim.trace sim)
   in
   let (pid1, msg1, clock1, trace1) = observe () in
-  Sim.reset sim;
+  Sim.clear sim;
   Alcotest.(check int) "clock rewound" 0 (Sim.clock sim);
+  Alcotest.(check int) "trace cleared" 0 (List.length (Sim.trace sim));
+  setup ();
   Alcotest.(check int) "fibers re-armed" 2 (Sim.runnable_count sim);
   let (pid2, msg2, clock2, trace2) = observe () in
   Alcotest.(check (triple int string int)) "failure reproduces" (pid1, msg1, clock1)
@@ -504,11 +445,9 @@ let tests =
       test_pooled_vs_fresh_every_schedule;
     Alcotest.test_case "pooled vs fresh: obs counters" `Quick test_pooled_vs_fresh_obs;
     Alcotest.test_case "Obs_run batch vs fresh: every target" `Quick test_obs_run_vs_fresh;
-    Alcotest.test_case "snapshot/reset: scripted differential" `Quick
-      test_snapshot_reset_differential;
-    Alcotest.test_case "reset recovers after Livelock" `Quick test_reset_after_livelock;
+    Alcotest.test_case "reset recovers after Livelock" `Quick test_clear_after_livelock;
     Alcotest.test_case "reset recovers after Process_failure" `Quick
-      test_reset_after_process_failure;
+      test_clear_after_process_failure;
     Alcotest.test_case "gen domains: deterministic parallel generation" `Quick
       test_gen_domains_determinism;
     Alcotest.test_case "streams: every run in one stream, sizes within 1, stream order"

@@ -193,51 +193,48 @@ let test_recover_without_entry_point () =
   Alcotest.(check int) "nothing pending" 0 (Sim.pending_recoveries sim);
   Alcotest.(check int) "no recoveries" 0 (Sim.recoveries_of sim 0)
 
-(* --- snapshot / reset ------------------------------------------------- *)
+(* --- rewinding -------------------------------------------------------- *)
 
-(* Reset forgets crash state and scheduled recoveries but keeps the
-   registered entry points, so pooled reuse replays crash schedules
-   deterministically. *)
-let test_reset_keeps_entry_points () =
+(* [Sim.clear] forgets crash state, scheduled recoveries and entry
+   points; setting the workload up again on the same simulator replays
+   its crash schedule deterministically. *)
+let test_clear_rewinds_crash_state () =
   let sim = Sim.create ~n:2 () in
-  let d = Sim.reg sim ~name:"d" 0 in
-  let v = Sim.reg sim ~volatile:true ~name:"v" 0 in
   let recovery_runs = ref 0 in
-  Sim.set_recovery sim 0 (fun () ->
-      incr recovery_runs;
-      Sim.write d 99);
-  let body0 () =
-    Sim.write v 1;
-    for k = 1 to 4 do
-      Sim.write d k
-    done
+  let setup () =
+    let d = Sim.reg sim ~name:"d" 0 in
+    let v = Sim.reg sim ~volatile:true ~name:"v" 0 in
+    Sim.set_recovery sim 0 (fun () ->
+        incr recovery_runs;
+        Sim.write d 99);
+    Sim.spawn sim 0 (fun () ->
+        Sim.write v 1;
+        for k = 1 to 4 do
+          Sim.write d k
+        done);
+    Sim.spawn sim 1 (fun () ->
+        for _ = 1 to 10 do
+          ignore (Sim.read d)
+        done)
   in
-  let body1 () =
-    for _ = 1 to 10 do
-      ignore (Sim.read d)
-    done
-  in
-  Sim.spawn sim 0 body0;
-  Sim.spawn sim 1 body1;
-  Sim.snapshot sim;
   let run () =
     Sim.run ~crashes:[ Crash.recovering ~pid:0 ~at:2 ~after:2 ] sim (Policy.round_robin ())
   in
+  setup ();
   run ();
   Alcotest.(check int) "first run recovered" 1 (Sim.recoveries_of sim 0);
   let clock1 = Sim.clock sim in
-  Sim.reset sim;
-  Alcotest.(check int) "reset clears recovery count" 0 (Sim.recoveries_of sim 0);
-  Alcotest.(check int) "reset clears pending" 0 (Sim.pending_recoveries sim);
-  Alcotest.(check bool) "reset keeps entry point" true (Sim.has_recovery sim 0);
-  Alcotest.(check bool) "reset un-crashes" false (Sim.is_crashed sim 0);
+  Sim.clear sim;
+  Alcotest.(check int) "clear clears recovery count" 0 (Sim.recoveries_of sim 0);
+  Alcotest.(check int) "clear drops counters" 0 (Sim.total_recoveries sim);
+  Alcotest.(check int) "clear clears pending" 0 (Sim.pending_recoveries sim);
+  Alcotest.(check bool) "clear drops entry point" false (Sim.has_recovery sim 0);
+  Alcotest.(check bool) "clear un-crashes" false (Sim.is_crashed sim 0);
+  setup ();
   run ();
   Alcotest.(check int) "second run recovered too" 1 (Sim.recoveries_of sim 0);
-  Alcotest.(check int) "deterministic across reset" clock1 (Sim.clock sim);
-  Alcotest.(check int) "recovery body ran both times" 2 !recovery_runs;
-  Sim.clear sim;
-  Alcotest.(check bool) "clear drops entry point" false (Sim.has_recovery sim 0);
-  Alcotest.(check int) "clear drops counters" 0 (Sim.total_recoveries sim)
+  Alcotest.(check int) "deterministic across clear" clock1 (Sim.clock sim);
+  Alcotest.(check int) "recovery body ran both times" 2 !recovery_runs
 
 (* --- re-invocation traces --------------------------------------------- *)
 
@@ -484,7 +481,7 @@ let tests =
     Alcotest.test_case "double crash, idempotent recovery" `Quick
       test_double_crash_idempotent_recovery;
     Alcotest.test_case "recover without entry point" `Quick test_recover_without_entry_point;
-    Alcotest.test_case "reset keeps entry points" `Quick test_reset_keeps_entry_points;
+    Alcotest.test_case "clear rewinds crash state" `Quick test_clear_rewinds_crash_state;
     Alcotest.test_case "trace re-invocation" `Quick test_trace_reinvocation;
     Alcotest.test_case "trace recover errors" `Quick test_trace_recover_errors;
     Alcotest.test_case "tas-lin accepts recovered op" `Quick test_tas_lin_accepts_recovered_op;

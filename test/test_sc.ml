@@ -293,22 +293,26 @@ let test_backend_rmw_stays_atomic () =
   Alcotest.(check bool) "FAI values distinct" true (!a <> !b)
 
 let test_backend_reset_clears_staleness () =
-  (* Sim.reset rewinds the log and views: a pooled reuse must not leak
-     the previous run's writes through a stale view *)
+  (* [Sim.clear] plus a second setup builds a fresh log and views: a
+     reused simulator must not leak the previous run's writes through a
+     stale view *)
   let sim = Sim.create ~n:2 () in
-  let module P = (val Scs_prims.Sc_prims.make ~lag:1 sim) in
-  let x = P.reg ~name:"x" 0 in
   let observed = ref (-1) in
-  Sim.spawn sim 0 (fun () -> P.write x 7);
-  Sim.spawn sim 1 (fun () -> observed := P.read x);
-  Sim.snapshot sim;
+  let setup () =
+    let module P = (val Scs_prims.Sc_prims.make ~lag:1 sim) in
+    let x = P.reg ~name:"x" 0 in
+    Sim.spawn sim 0 (fun () -> P.write x 7);
+    Sim.spawn sim 1 (fun () -> observed := P.read x)
+  in
   let seq = Policy.sequential () in
+  setup ();
   Sim.run sim seq;
   Alcotest.(check int) "first run stale" 0 !observed;
-  Sim.reset sim;
+  Sim.clear sim;
   observed := -1;
+  setup ();
   Sim.run sim seq;
-  Alcotest.(check int) "identical after reset" 0 !observed
+  Alcotest.(check int) "identical after clear" 0 !observed
 
 let tests =
   [

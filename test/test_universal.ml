@@ -716,42 +716,6 @@ let test_slot_chunks_lazy () =
         (Sim.objects_allocated sim))
     [ (1, 8); (8, 8); (9, 24); (24, 24); (25, 56); (56, 56); (57, 64) ]
 
-(* A pooled simulator: one solo run commits 12 requests, so stage 0's
-   second chunk is built mid-run, then [Sim.reset] drops its objects.
-   With [forget_built] in the rearm step every later run rebuilds the
-   chunk and repeats the first run event for event; a kept chunk would
-   answer from the previous run's decided slots. *)
-let test_forget_built_pooled () =
-  let sim = Sim.create ~n:2 () in
-  Sim.set_trace sim true;
-  let module P = (val Scs_prims.Sim_prims.make sim) in
-  let module UO = Scs_universal.Uc_object.Make (P) in
-  let module SC = Scs_consensus.Split_consensus.Make (P) in
-  let uc =
-    UO.create ~name:"uc" ~n:2 ~max_requests:32
-      ~stages:[ (fun ~name ~slot:_ -> SC.instance (SC.create ~name ())) ]
-      ()
-  in
-  let ph = ref (UO.phandle uc ~pid:0) in
-  Sim.spawn sim 0 (fun () ->
-      for k = 1 to 12 do
-        ignore (UO.invoke !ph (Request.make k Objects.Fai_inc))
-      done);
-  Sim.snapshot sim;
-  let run () =
-    Sim.run sim (Policy.solo 0);
-    (List.map Mem_event.to_string (Sim.trace sim), Sim.objects_allocated sim)
-  in
-  let events, objects = run () in
-  for i = 2 to 3 do
-    Sim.reset sim;
-    UO.forget_built uc;
-    ph := UO.phandle uc ~pid:0;
-    let events', objects' = run () in
-    Alcotest.(check int) (Printf.sprintf "run %d: objects" i) objects objects';
-    Alcotest.(check (list string)) (Printf.sprintf "run %d: events" i) events events'
-  done
-
 (* 20 requests per domain on 1-stage CAS UCs: the domains cross the
    chunk boundaries at slots 8 and 24 together. *)
 let test_slot_chunk_native_race () = native_race ~objects:500 ~max_requests:64 ~ops:20 [ cas_stage ]
@@ -781,8 +745,6 @@ let tests =
       test_slot_chunks_lazy;
     Alcotest.test_case "uc: racing chunk builds share one copy" `Quick
       test_slot_chunk_native_race;
-    Alcotest.test_case "uc: forget_built rewinds built chunks for a pooled run" `Quick
-      test_forget_built_pooled;
   ]
 
 (* Run by CI under several SCS_QCHECK_SEED values. *)
