@@ -285,7 +285,8 @@ let consensus_cmd =
 
 let check_cmd =
   let seeds_arg =
-    Arg.(value & opt int 500 & info [ "seeds" ] ~docv:"K" ~doc:"Number of random schedules.")
+    Arg.(
+      value & opt positive_conv 500 & info [ "seeds" ] ~docv:"K" ~doc:"Number of random schedules.")
   in
   let run n algo seeds =
     let failures = ref 0 in

@@ -3,10 +3,12 @@ open Scs_spec
 type req = Get of int | Put of int * int | Freeze of int | Install of int * (int * int) list
 type resp = Value of int | Ack | Refused | Sealed of (int * int) list
 
-(* Both lists sorted by key/bucket: states reached by the same request
-   sequence are structurally equal, which is what the checker's hashed
-   state memo needs. *)
-type state = { vals : (int * int) list; frozen : int list }
+(* [vals.(b)] holds bucket [b]'s pairs sorted by key, [frozen] the
+   frozen buckets sorted: states with the same map and frozen set are
+   structurally equal, which is what the checker's hashed state memo
+   needs. States are shared, so [vals] is copied, never updated in
+   place. *)
+type state = { vals : (int * int) list array; frozen : int list }
 
 let bucket_of_key ~buckets key =
   if buckets < 1 then invalid_arg "Kv.bucket_of_key: buckets must be >= 1";
@@ -28,8 +30,6 @@ let rec insert_sorted b = function
   | [] -> [ b ]
   | b' :: tl as l -> if b' < b then b' :: insert_sorted b tl else if b' = b then l else b :: l
 
-let seal ~buckets b vals = List.filter (fun (k, _) -> bucket_of_key ~buckets k = b) vals
-
 let show_pairs ps =
   "[" ^ String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) ps) ^ "]"
 
@@ -46,23 +46,35 @@ let show_resp = function
   | Sealed ps -> "sealed " ^ show_pairs ps
 
 let spec ~buckets =
+  let bucket = bucket_of_key ~buckets in
+  (* a bucket index out of range names an empty bucket *)
+  let in_range b = b >= 0 && b < buckets in
   let apply st = function
     | Get k ->
-        if List.mem (bucket_of_key ~buckets k) st.frozen then (st, Refused)
-        else (st, Value (get_default k st.vals))
+        let b = bucket k in
+        if List.mem b st.frozen then (st, Refused) else (st, Value (get_default k st.vals.(b)))
     | Put (k, v) ->
-        if List.mem (bucket_of_key ~buckets k) st.frozen then (st, Refused)
-        else ({ st with vals = put_sorted k v st.vals }, Ack)
+        let b = bucket k in
+        if List.mem b st.frozen then (st, Refused)
+        else begin
+          let vals = Array.copy st.vals in
+          vals.(b) <- put_sorted k v vals.(b);
+          ({ st with vals }, Ack)
+        end
     | Freeze b ->
-        ({ st with frozen = insert_sorted b st.frozen }, Sealed (seal ~buckets b st.vals))
+        ( { st with frozen = insert_sorted b st.frozen },
+          Sealed (if in_range b then st.vals.(b) else []) )
     | Install (b, pairs) ->
-        let keep = List.filter (fun (k, _) -> bucket_of_key ~buckets k <> b) st.vals in
-        let vals = List.fold_left (fun acc (k, v) -> put_sorted k v acc) keep pairs in
+        (* each pair goes to the bucket of its own key, so the spec stays
+           total on pairs sealed from elsewhere *)
+        let vals = Array.copy st.vals in
+        if in_range b then vals.(b) <- [];
+        List.iter (fun (k, v) -> vals.(bucket k) <- put_sorted k v vals.(bucket k)) pairs;
         ({ vals; frozen = List.filter (fun b' -> b' <> b) st.frozen }, Ack)
   in
   Spec.make
     ~name:(Printf.sprintf "shard-kv/b%d" buckets)
-    ~init:{ vals = []; frozen = [] } ~apply ~show_req ~show_resp ()
+    ~init:{ vals = Array.make buckets []; frozen = [] } ~apply ~show_req ~show_resp ()
 
 let flat_spec =
   let apply vals = function

@@ -36,8 +36,11 @@ type resp =
   | Sealed of (int * int) list
 
 type state
-(** Canonical (sorted) map plus the frozen-bucket set, so structural
-    equality and hashing are sound for the checker's state memo. *)
+(** One key-sorted association list per bucket plus the sorted
+    frozen-bucket list: canonical, so structural equality and hashing
+    are sound for the checker's state memo. A [Put] copies the
+    [buckets]-word bucket array and rebuilds one bucket's list, not the
+    whole map. *)
 
 val bucket_of_key : buckets:int -> int -> int
 (** Deterministic hash partition; total on all [int] keys. The single
@@ -47,7 +50,11 @@ val key_of_req : req -> int option
 (** The client key, [None] for administrative requests. *)
 
 val spec : buckets:int -> (state, req, resp) Scs_spec.Spec.t
-(** The shard-local sequential specification described above. *)
+(** The shard-local sequential specification described above. [Freeze
+    b] seals bucket [b]'s list as it is. [Install (b, pairs)] empties
+    bucket [b] and puts each pair into the bucket of its own key, so
+    the spec stays total on pairs from any bucket; a bucket index out of
+    range names an empty bucket. *)
 
 val flat_spec : ((int * int) list, req, resp) Scs_spec.Spec.t
 (** The client-facing keyspace specification: a plain map where [Get]

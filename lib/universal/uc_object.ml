@@ -17,13 +17,15 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         ignore (Atomic.compare_and_set cell None (Some (build x)));
         Option.get (Atomic.get cell)
 
-  (* A stage's slots come in doubling chunks: chunk 0 holds slots 0-7,
-     chunk c >= 1 slots [8(2^c - 1), 8(2^(c+1) - 1)), cut at
-     [max_requests]. Chunk 0 is built with the stage, every later chunk
-     on the first lookup into it. *)
-  let chunk0 = 8
-  let chunk_start c = chunk0 * ((1 lsl c) - 1)
-  let rec chunk_of slot c = if slot < chunk_start (c + 1) then c else chunk_of slot (c + 1)
+  (* A stage's slots come in chunks of 8, 16, 32 and then 64 slots each:
+     chunk c <= 3 holds slots [8(2^c - 1), 8(2^(c+1) - 1)), chunk c >= 3
+     slots [56 + 64(c - 3), 56 + 64(c - 2)), cut at [max_requests].
+     Chunk 0 is built with the stage, every later chunk on the first
+     lookup into it. *)
+  let chunk_start c = if c <= 3 then 8 * ((1 lsl c) - 1) else 56 + (64 * (c - 3))
+
+  let chunk_of slot =
+    if slot < 8 then 0 else if slot < 24 then 1 else if slot < 56 then 2 else 3 + ((slot - 56) / 64)
 
   type 'i chunks = 'i Request.t CI.t array option Atomic.t array
 
@@ -42,7 +44,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     let prefix = uname ^ ".cons" in
     let make = t.stages.(i) in
     let chunks =
-      Array.init (chunk_of (max 0 (t.max_requests - 1)) 0 + 1) (fun _ -> Atomic.make None)
+      Array.init (chunk_of (max 0 (t.max_requests - 1)) + 1) (fun _ -> Atomic.make None)
     in
     let build_chunk c =
       let lo = chunk_start c in
@@ -54,7 +56,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     in
     let chunk c = once chunks.(c) build_chunk c in
     let cons ~slot =
-      let c = chunk_of slot 0 in
+      let c = chunk_of slot in
       (chunk c).(slot - chunk_start c)
     in
     let u = U.create ~name:uname ~n:t.n ~max_requests:t.max_requests ~cons () in
@@ -104,17 +106,17 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     let create spec chain = { spec; chain }
 
     (* The response cache: [state] is the spec state after the first
-       [applied] entries of stage [stage]'s commit log, [responses] those
-       entries' responses by request id (ids are unique in a log: the
-       construction deduplicates decisions). DESIGN.md §4 argues why the
-       cache is sound. *)
+       [applied] entries of stage [stage]'s commit log, and [last] the
+       id and response of the request [apply] returned last (ids are
+       unique in a log: the construction deduplicates decisions).
+       DESIGN.md §4 argues why the cache is sound. *)
     type ('q, 'i, 'r) handle = {
       spec : ('q, 'i, 'r) Spec.t;
       ph : 'i phandle;
       mutable stage : int;
       mutable state : 'q;
       mutable applied : int;
-      responses : (int, 'r) Hashtbl.t;
+      mutable last : (int * 'r) option;
     }
 
     let handle (obj : (_, _, _) obj) ~pid =
@@ -124,12 +126,24 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         stage = 0;
         state = obj.spec.Spec.init;
         applied = 0;
-        responses = Hashtbl.create 16;
+        last = None;
       }
 
     let phandle h = h.ph
 
     let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
+
+    (* The response of [id] in [hist], by replaying the log from the
+       spec's initial state: the path of a request committed before the
+       last answer. *)
+    let replay spec hist id =
+      let rec go q = function
+        | [] -> None
+        | r :: tl ->
+            let q, resp = spec.Spec.apply q (Request.payload r) in
+            if Request.id r = id then Some resp else go q tl
+      in
+      go spec.Spec.init hist
 
     let apply h req =
       let hist = invoke h.ph req in
@@ -139,17 +153,23 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         h.stage <- h.ph.stage;
         h.state <- h.spec.Spec.init;
         h.applied <- 0;
-        Hashtbl.reset h.responses
+        h.last <- None
       end;
+      let id = Request.id req in
       List.iter
         (fun r ->
           let q, resp = h.spec.Spec.apply h.state (Request.payload r) in
           h.state <- q;
           h.applied <- h.applied + 1;
-          Hashtbl.replace h.responses (Request.id r) resp)
+          if Request.id r = id then h.last <- Some (id, resp))
         (drop h.applied hist);
-      match Hashtbl.find_opt h.responses (Request.id req) with
-      | Some r -> r
-      | None -> failwith "Uc_object.Typed.apply: committed history misses the request"
+      match h.last with
+      | Some (id', r) when id' = id -> r
+      | _ -> (
+          match replay h.spec hist id with
+          | Some r ->
+              h.last <- Some (id, r);
+              r
+          | None -> failwith "Uc_object.Typed.apply: committed history misses the request")
   end
 end

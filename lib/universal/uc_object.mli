@@ -31,10 +31,11 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       instance's consensus factory (e.g. SplitConsensus, then Bakery, then
       CAS). Only stage 0 is built here. Stage [i >= 1] is built when the
       first process switches into it, so a run that never aborts pays for
-      stage 0 alone. Within a stage, slots are built in doubling chunks:
-      chunk 0 (slots 0–7) together with the stage, chunk [c >= 1] (slots
-      [8(2^c - 1)] to [8(2^(c+1) - 1) - 1], cut at [max_requests]) on the
-      first lookup of one of its slots. A built stage or chunk is
+      stage 0 alone. Within a stage, slots are built in chunks that
+      double from 8 slots up to 64 and then stay at 64: chunk 0 (slots
+      0–7) together with the stage, every later chunk (slots 8–23,
+      24–55, 56–119, 120–183, …, cut at [max_requests]) on the first
+      lookup of one of its slots. A built stage or chunk is
       published by a compare-and-set on an OCaml [Atomic] cell: a
       host-level operation, not a simulated step. Domains racing to build
       it agree on one copy, and the loser drops its own. Objects of a
@@ -68,7 +69,7 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     type ('q, 'i, 'r) handle
     (** A process's {!phandle} plus its response cache: the spec state
         after the entries of the current stage's commit log evaluated so
-        far, and their responses by request id. *)
+        far, and the id and response of the request answered last. *)
 
     val handle : ('q, 'i, 'r) obj -> pid:int -> ('q, 'i, 'r) handle
 
@@ -79,7 +80,9 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
     (** Commit the request and return its response, [β(h, m)] for the
         commit history [h]. Only the entries decided since the handle's
         last call go through the spec; after a stage switch the cache is
-        rebuilt once from the new stage's log. Re-applying a request that
-        is already committed returns the same response. *)
+        rebuilt once from the new stage's log. Re-applying the request
+        answered last (the crash-recovery path) returns the same
+        response with no spec apply; re-applying an older committed
+        request returns its response by replaying the stage's log. *)
   end
 end

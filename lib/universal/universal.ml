@@ -58,8 +58,9 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
   let append_decided h req =
     if not (performed_mem h req) then h.lperf <- req :: h.lperf
 
-  (* The paper's counter read at recovery: the number of slots known
-     decided by anyone who might have returned a commit. *)
+  (* The paper's counter: the number of slots known decided by anyone
+     who might have returned a commit. Read at recovery, and by [invoke]
+     to bound its catch-up. *)
   let read_count h = Array.fold_left (fun acc r -> max acc (P.read r)) 0 h.t.c
 
   (* Recovery (Section 4.2): set the flag, read the count, rebuild the
@@ -92,19 +93,20 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
      announcement. *)
   let choose_proposal h ~slot own_req =
     let views = Snap.scan h.t.reqs ~pid:h.pid in
-    let pending_of j =
-      List.filter (fun r -> not (performed_mem h r)) (List.rev views.(j))
+    (* announcements are newest first: the oldest pending one is the last
+       match, found without building a reversed or filtered copy *)
+    let oldest_pending j =
+      List.fold_left (fun acc r -> if performed_mem h r then acc else Some r) None views.(j)
     in
-    let preferred = pending_of (slot mod h.t.n) in
-    match preferred with
-    | r :: _ -> r
-    | [] ->
+    match oldest_pending (slot mod h.t.n) with
+    | Some r -> r
+    | None ->
         if not (performed_mem h own_req) then own_req
         else begin
           let rec first_pending j =
             if j >= h.t.n then own_req
             else begin
-              match pending_of j with r :: _ -> r | [] -> first_pending (j + 1)
+              match oldest_pending j with Some r -> r | None -> first_pending (j + 1)
             end
           in
           first_pending 0
@@ -123,6 +125,12 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         (* announce *)
         h.announced <- req :: h.announced;
         Snap.update h.t.reqs ~pid:h.pid h.announced;
+        (* Catch-up bound: every slot below the count is decided (C_j is
+           written only after slot k's decision is appended), so
+           consensus returns that decision (or aborts) whatever we
+           propose, and the helping choice can be skipped. Alone, the
+           count is our own. *)
+        let count = if h.t.n = 1 then 0 else read_count h in
         let rec loop () =
           if performed_mem h req then
             (* decided during init replay or an earlier helping pass *)
@@ -138,7 +146,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
                   Some h.init_hist.(k)
                 else None
               in
-              let proposal = choose_proposal h ~slot:k req in
+              let proposal = if k < count then req else choose_proposal h ~slot:k req in
               match (h.t.cons ~slot:k).Consensus_intf.run ~pid:h.pid ~old proposal with
               | Outcome.Abort _ -> recover_and_abort h req
               | Outcome.Commit None ->

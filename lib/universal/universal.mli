@@ -59,7 +59,14 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
   val invoke : 'i handle -> 'i Request.t -> 'i abstract_outcome
   (** Run the construction for one request until it commits or the
       instance aborts. After an abort the handle is dead: further invokes
-      return aborts with the same history. *)
+      return aborts with the same history.
+
+      Right after announcing, [invoke] reads the count [max_j C_j] ([n]
+      register reads, none when [n = 1]). Every slot below it is already
+      decided, so there the handle proposes its own request instead of
+      running the helping choice (a [Reqs] scan): consensus returns the
+      slot's decision whatever is proposed. The count is a local of the
+      invocation, re-read from the durable [C] registers by the next. *)
 
   val performed : 'i handle -> 'i History.t
   (** The handle's local log of decided requests (diagnostics). *)

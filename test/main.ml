@@ -23,6 +23,7 @@ let () =
       ("load", Test_load.tests);
       ("shard", Test_shard.tests);
       ("batcher", Test_shard.battery_tests);
+      ("kv-diff", Test_shard.kv_diff_tests);
       ("policy", Test_policy.tests);
       ("properties", Test_props.tests);
       ("fuzz", Test_fuzz.tests);

@@ -1,5 +1,5 @@
 (* Usage errors of the scs binary: out-of-range process counts, run
-   counts and exploration budgets are rejected by the argument parser
+   and seed counts and exploration budgets are rejected by the argument parser
    (cmdliner's exit status 124 and a message naming the option) instead
    of failing inside a run or reporting a vacuous result. *)
 
@@ -37,6 +37,7 @@ let test_bad_counts_are_usage_errors () =
       ([ "difffuzz"; "--workload"; "splitter"; "--runs"; "0" ], "0 is below 1");
       ([ "explore"; "-n"; "3"; "--budget"; "0" ], "0 is below 1");
       ([ "simulate"; "-n"; "0" ], "0 is not in 1..62");
+      ([ "check"; "--seeds"; "0" ], "0 is below 1");
     ];
   (* the bounds themselves are accepted *)
   List.iter
@@ -49,6 +50,7 @@ let test_bad_counts_are_usage_errors () =
       [ "fuzz"; "--workload"; "splitter"; "-n"; "1"; "--runs"; "1" ];
       [ "difffuzz"; "--workload"; "splitter"; "-n"; "1"; "--runs"; "1" ];
       [ "explore"; "-n"; "2"; "--budget"; "1" ];
+      [ "check"; "--seeds"; "1" ];
     ]
 
 let tests =

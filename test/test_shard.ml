@@ -146,6 +146,23 @@ let test_migration_in_place () =
   | S.Done (Kv.Value 22) -> ()
   | _ -> Alcotest.fail "in-place migration lost the bucket"
 
+(* The in-flight attempt stays recorded after [apply] returns, so a
+   migration by the same handle can commit on the attempt's shard before
+   [recover] re-applies it: the attempt is then committed but not the
+   shard's last answer, and must still get its original response. *)
+let test_recover_after_migration () =
+  let svc = mk_svc ~shards:2 ~buckets:4 () in
+  let h = S.handle svc ~pid:0 in
+  let mig = S.Migration.create ~name:(fresh_name ()) svc in
+  ignore (S.apply h (Kv.Put (2, 22)));
+  ignore (S.apply h (Kv.Get 2));
+  let b = Kv.bucket_of_key ~buckets:4 2 in
+  let owner = (S.R.route_bucket (S.router svc) ~bucket:b).S.R.owner in
+  S.Migration.migrate mig ~h ~bucket:b ~dst:(1 - owner);
+  match S.recover h with
+  | Some (S.Done (Kv.Value 22)) -> ()
+  | _ -> Alcotest.fail "recovery did not return the attempt's response"
+
 (* ---- the flat-combining batcher -------------------------------------- *)
 
 let test_batcher_self_service () =
@@ -517,8 +534,82 @@ let tests =
       Alcotest.test_case "fuzz: migrating service (crash-recover)" `Slow
         test_fuzz_migrate_recover;
       Alcotest.test_case "fuzz: differential pair both clean" `Slow test_fuzz_s1_vs_uc;
+      Alcotest.test_case "recover after a migration by the same handle" `Quick
+        test_recover_after_migration;
     ]
 
 (* run on its own under fixed seeds in CI *)
 let battery_tests =
   [ Alcotest.test_case "batcher: seeded random and PCT schedules" `Quick test_batcher_battery ]
+
+(* ---- the bucketed shard spec against the sorted-list oracle ----------- *)
+
+(* Random request sequences over 12 keys, so equal maps recur; admin
+   buckets are mostly the bucket of a key, sometimes any index in
+   [-1, buckets], and Install pairs carry keys of every bucket. *)
+let gen_kv_reqs ~buckets =
+  let open QCheck.Gen in
+  let key = int_bound 11 and v = int_bound 3 in
+  let bucket =
+    frequency
+      [ (3, map (Kv.bucket_of_key ~buckets) key); (1, int_range (-1) buckets) ]
+  in
+  let req =
+    frequency
+      [
+        (3, map (fun k -> Kv.Get k) key);
+        (4, map2 (fun k v -> Kv.Put (k, v)) key v);
+        (1, map (fun b -> Kv.Freeze b) bucket);
+        (1, map2 (fun b ps -> Kv.Install (b, ps)) bucket (list_size (int_bound 4) (pair key v)));
+      ]
+  in
+  (* a sequence and a reordering of it: different paths to equal maps *)
+  list_size (int_bound 30) (pair req nat)
+  |> map (fun tagged ->
+         ( List.map fst tagged,
+           List.map fst (List.stable_sort (fun (_, a) (_, b) -> compare a b) tagged) ))
+
+(* The states after every prefix of [reqs], and the responses. *)
+let kv_run (spec : (_, _, _) Spec.t) reqs =
+  let _, states, resps =
+    List.fold_left
+      (fun (q, states, resps) req ->
+        let q, r = spec.Spec.apply q req in
+        (q, q :: states, r :: resps))
+      (spec.Spec.init, [ spec.Spec.init ], [])
+      reqs
+  in
+  (List.rev states, List.rev resps)
+
+let prop_kv_matches_ref buckets =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "bucketed Kv.spec matches the sorted-list oracle (b%d)" buckets)
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         let show l = String.concat "; " (List.map Kv.show_req l) in
+         show a ^ " | reordered: " ^ show b)
+       (gen_kv_reqs ~buckets))
+    (fun (s1, s2) ->
+      let spec = Kv.spec ~buckets and oracle = Kv_ref.spec ~buckets in
+      let new1, r1 = kv_run spec s1 and new2, r2 = kv_run spec s2 in
+      let ref1, o1 = kv_run oracle s1 and ref2, o2 = kv_run oracle s2 in
+      if r1 <> o1 || r2 <> o2 then
+        QCheck.Test.fail_reportf "responses differ from the oracle%s" Test_seed.label;
+      let states = List.combine (new1 @ new2) (ref1 @ ref2) in
+      List.for_all
+        (fun (q, rq) ->
+          List.for_all
+            (fun (q', rq') ->
+              let same = spec.Spec.equal_state q q' in
+              if same <> (rq = rq') then
+                QCheck.Test.fail_reportf "state equality differs from the oracle's%s"
+                  Test_seed.label;
+              (not same) || spec.Spec.hash_state q = spec.Spec.hash_state q')
+            states)
+        states)
+
+(* run on its own under fixed seeds in CI *)
+let kv_diff_tests =
+  List.map
+    (fun b -> QCheck_alcotest.to_alcotest ~rand:(Test_seed.rand ()) (prop_kv_matches_ref b))
+    [ 1; 2; 64 ]

@@ -407,7 +407,9 @@ let prop_typed_matches_replay =
    string concatenation instead of [Printf.sprintf] and before fallback
    stages were built on first use: every memory event of a solo run in
    full, and the digest plus the distinct names of round-robin runs that
-   reach every stage. *)
+   reach every stage. The UC solo events and the UC and service digests
+   were re-recorded when [invoke] began reading the [C] counters after
+   its announcement (the catch-up bound); the names did not change. *)
 let names_of sim = List.map (fun e -> e.Mem_event.obj_name) (Sim.trace sim)
 
 let uc_event_names policy procs =
@@ -495,8 +497,9 @@ let test_object_names_pinned () =
   in
   check_all "uc solo"
     "uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[1] uc.stage0.Reqs.snap[0] \
-     uc.stage0.Reqs.snap[1] uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[0] uc.stage0.Aborted \
-     uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[1] uc.stage0.Reqs.snap[0] \
+     uc.stage0.Reqs.snap[1] uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[0] uc.stage0.C[0] \
+     uc.stage0.C[1] uc.stage0.Aborted uc.stage0.Reqs.snap[0] uc.stage0.Reqs.snap[1] \
+     uc.stage0.Reqs.snap[0] \
      uc.stage0.Reqs.snap[1] uc.stage0.cons0.S.X uc.stage0.cons0.S.Y uc.stage0.cons0.S.Y \
      uc.stage0.cons0.S.X uc.stage0.cons0.V uc.stage0.cons0.V uc.stage0.cons0.C \
      uc.stage0.cons0.S.X uc.stage0.cons0.S.Y uc.stage0.cons0.S.X uc.stage0.cons0.S.Y \
@@ -509,7 +512,7 @@ let test_object_names_pinned () =
      ch.split.S.X ch.split.S.Y ch.split.S.X ch.split.S.Y ch.split.S.Y ch.split.S.X ch.split.V \
      ch.split.V ch.split.C ch.split.S.X ch.split.S.Y ch.moved[0]"
     (chain_event_names (Policy.solo 0) [ 0 ]);
-  check_digest "uc round-robin" "14d2e5577587816959d8fd2f4daa5a27"
+  check_digest "uc round-robin" "266e336447dc1a608774bba9bf6c1caf"
     "uc.stage0.Aborted uc.stage0.C[0] uc.stage0.C[1] uc.stage0.Reqs.snap[0] \
      uc.stage0.Reqs.snap[1] uc.stage0.cons0.C uc.stage0.cons0.S.X uc.stage0.cons0.S.Y \
      uc.stage0.cons0.V uc.stage1.Aborted uc.stage1.C[0] uc.stage1.C[1] uc.stage1.Reqs.snap[0] \
@@ -518,7 +521,7 @@ let test_object_names_pinned () =
      uc.stage2.C[0] uc.stage2.C[1] uc.stage2.Reqs.snap[0] uc.stage2.Reqs.snap[1] \
      uc.stage2.cons0.CAS uc.stage2.cons1.CAS"
     (uc_event_names (Policy.round_robin ()) [ 0; 1 ]);
-  check_digest "service round-robin" "4375c4e7c136239bae31fc807845de9b"
+  check_digest "service round-robin" "36f6e7cf8a46fee9a69dbeb1c4f01fab"
     "svc.route[0] svc.route[1] svc.route[2] svc.shard[0].stage0.Aborted \
      svc.shard[0].stage0.C[0] svc.shard[0].stage0.C[1] svc.shard[0].stage0.Reqs.snap[0] \
      svc.shard[0].stage0.Reqs.snap[1] svc.shard[0].stage0.cons0.split[0].C \
@@ -681,12 +684,11 @@ let test_fallback_stage_native_race () =
 
 (* ---- slots built in doubling chunks ------------------------------------ *)
 
-(* A solo run of a 1-stage split UC with room for 64 requests that
-   commits [k] of them proposes to slots 0 .. k-1. It must have built the
-   stage skeleton ([Aborted], [Reqs], [C]) and the chunks up to the one
-   holding slot k-1, no more: slots 0-7, 8-23, 24-55, then 56-63 (the
-   last chunk cut at 64). *)
-let test_slot_chunks_lazy () =
+(* For each [(k, built)]: a solo run of a 1-stage split UC with room for
+   [max_requests] requests that commits [k] of them must have built the
+   stage skeleton ([Aborted], [Reqs], [C]) and slots [0 .. built-1], no
+   more. *)
+let check_slots_built ~max_requests cases =
   let per_slot =
     let sim = Sim.create ~n:2 () in
     let module P = (val Scs_prims.Sim_prims.make sim) in
@@ -702,23 +704,160 @@ let test_slot_chunks_lazy () =
       Scs_consensus.Consensus_intf.wrap ~name:"bare" (fun ~pid:_ _ ->
           Scs_composable.Outcome.Abort None)
     in
-    ignore (UO.create ~name:"uc" ~n:2 ~max_requests:64 ~stages:[ bare ] ());
+    ignore (UO.create ~name:"uc" ~n:2 ~max_requests ~stages:[ bare ] ());
     Sim.objects_allocated sim
   in
   List.iter
     (fun (k, built) ->
       let sim = Sim.create ~n:2 () in
-      spawn_uc ~max_requests:64 sim ~stages:1 ~ops:k [ 0 ];
+      spawn_uc ~max_requests sim ~stages:1 ~ops:k [ 0 ];
       Sim.run sim (Policy.solo 0);
       Alcotest.(check int)
         (Printf.sprintf "%d commits build slots 0-%d" k (built - 1))
         (skeleton + (built * per_slot))
         (Sim.objects_allocated sim))
+    cases
+
+(* Room for 64 requests, [k] commits propose to slots 0 .. k-1: the
+   chunks up to the one holding slot k-1 are built, slots 0-7, 8-23,
+   24-55, then 56-63 (the last chunk cut at 64). *)
+let test_slot_chunks_lazy () =
+  check_slots_built ~max_requests:64
     [ (1, 8); (8, 8); (9, 24); (24, 24); (25, 56); (56, 56); (57, 64) ]
+
+(* Past slot 56 the chunks stay at 64 slots: 56-119, 120-183, 184-247. *)
+let test_slot_chunks_capped () =
+  check_slots_built ~max_requests:256 [ (120, 120); (121, 184); (184, 184); (185, 248) ]
 
 (* 20 requests per domain on 1-stage CAS UCs: the domains cross the
    chunk boundaries at slots 8 and 24 together. *)
 let test_slot_chunk_native_race () = native_race ~objects:500 ~max_requests:64 ~ops:20 [ cas_stage ]
+
+(* ---- catch-up below the count ------------------------------------------ *)
+
+(* p0 commits 20 fetch&incs alone, then p1 invokes one on a 1-stage
+   split UC at [n]. p1's count covers slots 0-19, so it proposes its own
+   request there without a helping scan: after its announcement it reads
+   [Reqs] for at most one scan (slot 20's), a double collect of [n]
+   registers. *)
+let test_catch_up n =
+  let sim = Sim.create ~n () in
+  Sim.set_trace sim true;
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let uc =
+    UO.create ~name:"uc" ~n ~max_requests:32
+      ~stages:[ (fun ~name ~slot:_ -> SC.instance (SC.create ~name ())) ]
+      ()
+  in
+  let obj = UO.Typed.create Objects.fetch_and_increment uc in
+  let answer = ref None in
+  Sim.spawn sim 0 (fun () ->
+      let h = UO.Typed.handle obj ~pid:0 in
+      for k = 1 to 20 do
+        ignore (UO.Typed.apply h (Request.make (n * k) Objects.Fai_inc))
+      done);
+  Sim.spawn sim 1 (fun () ->
+      let h = UO.Typed.handle obj ~pid:1 in
+      answer := Some (UO.Typed.apply h (Request.make 1 Objects.Fai_inc)));
+  Sim.run sim (Policy.sequential ());
+  Alcotest.(check bool)
+    (Printf.sprintf "n=%d: p1 gets 20" n)
+    true
+    (!answer = Some (Objects.Fai_value 20));
+  let p1 = List.filter (fun e -> e.Mem_event.pid = 1) (Sim.trace sim) in
+  let named prefix e = String.starts_with ~prefix e.Mem_event.obj_name in
+  for k = 0 to 20 do
+    if not (List.exists (named (Printf.sprintf "uc.stage0.cons%d." k)) p1) then
+      Alcotest.failf "n=%d: p1 never proposes on slot %d" n k
+  done;
+  let rec after_announce = function
+    | [] -> Alcotest.failf "n=%d: p1 never announces" n
+    | e :: tl ->
+        if e.Mem_event.kind = Op.Write && named "uc.stage0.Reqs." e then tl else after_announce tl
+  in
+  let reqs_reads = List.length (List.filter (named "uc.stage0.Reqs.") (after_announce p1)) in
+  if reqs_reads > 2 * n then
+    Alcotest.failf "n=%d: p1 reads Reqs %d times after announcing (one scan is %d)" n reqs_reads
+      (2 * n)
+
+let test_catch_up_n2 () = test_catch_up 2
+let test_catch_up_n3 () = test_catch_up 3
+
+(* Alone, a process's count is its own: an n = 1 UC never reads [C]. *)
+let test_solo_reads_no_count () =
+  let sim = Sim.create ~n:1 () in
+  Sim.set_trace sim true;
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let uc =
+    UO.create ~name:"uc" ~n:1 ~max_requests:8
+      ~stages:[ (fun ~name ~slot:_ -> SC.instance (SC.create ~name ())) ]
+      ()
+  in
+  Sim.spawn sim 0 (fun () ->
+      let ph = UO.phandle uc ~pid:0 in
+      for k = 1 to 5 do
+        ignore (UO.invoke ph (Request.make k Objects.Fai_inc))
+      done);
+  Sim.run sim (Policy.solo 0);
+  let c_reads =
+    List.filter
+      (fun e ->
+        e.Mem_event.kind = Op.Read
+        && String.starts_with ~prefix:"uc.stage0.C[" e.Mem_event.obj_name)
+      (Sim.trace sim)
+  in
+  Alcotest.(check int) "C reads" 0 (List.length c_reads)
+
+(* ---- Typed's last-answer cache ------------------------------------------ *)
+
+(* A native Typed fetch&inc at n = 2 whose spec counts its applies;
+   [stages] are the chain's factories. *)
+let counting_typed stages =
+  let applies = ref 0 in
+  let spec =
+    let s = Objects.fetch_and_increment in
+    Spec.make ~name:"counting" ~init:s.Spec.init
+      ~apply:(fun q r ->
+        incr applies;
+        s.Spec.apply q r)
+      ()
+  in
+  let uc = NUO.create ~name:"typed" ~n:2 ~max_requests:16 ~stages () in
+  (NUO.Typed.handle (NUO.Typed.create spec uc) ~pid:0, applies)
+
+let test_typed_last_answer () =
+  let abort ~name:_ ~slot:_ =
+    Scs_consensus.Consensus_intf.wrap ~name:"abort" (fun ~pid:_ _ ->
+        Scs_composable.Outcome.Abort None)
+  in
+  List.iter
+    (fun (what, stages, stage) ->
+      let h, applies = counting_typed stages in
+      let a = Request.make 2 Objects.Fai_inc and b = Request.make 4 Objects.Fai_inc in
+      ignore (NUO.Typed.apply h a);
+      let rb = NUO.Typed.apply h b in
+      Alcotest.(check int) (what ^ ": stage") stage (NUO.stage_of (NUO.Typed.phandle h));
+      let before = !applies in
+      Alcotest.(check bool) (what ^ ": last answer again") true (NUO.Typed.apply h b = rb);
+      Alcotest.(check int) (what ^ ": no spec apply") before !applies;
+      Alcotest.(check bool)
+        (what ^ ": an earlier answer is replayed")
+        true
+        (NUO.Typed.apply h a = Objects.Fai_value 0))
+    [
+      ("one stage", [ cas_stage ], 0);
+      (* slot 1 aborts, so [b]'s apply switches stages *)
+      ( "after a switch",
+        [
+          (fun ~name ~slot -> if slot = 0 then cas_stage ~name ~slot else abort ~name ~slot);
+          cas_stage;
+        ],
+        1 );
+    ]
 
 let tests =
   [
@@ -745,6 +884,11 @@ let tests =
       test_slot_chunks_lazy;
     Alcotest.test_case "uc: racing chunk builds share one copy" `Quick
       test_slot_chunk_native_race;
+    Alcotest.test_case "uc: chunks stop doubling at 64 slots" `Quick test_slot_chunks_capped;
+    Alcotest.test_case "uc: catch-up below the count (n=2)" `Quick test_catch_up_n2;
+    Alcotest.test_case "uc: catch-up below the count (n=3)" `Quick test_catch_up_n3;
+    Alcotest.test_case "uc: a solo UC reads no count" `Quick test_solo_reads_no_count;
+    Alcotest.test_case "uc: Typed keeps the last answer" `Quick test_typed_last_answer;
   ]
 
 (* Run by CI under several SCS_QCHECK_SEED values. *)
