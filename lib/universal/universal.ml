@@ -75,16 +75,20 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       | None -> ()
     done;
     (* deduplicate positionally, keeping first occurrences *)
+    let seen = Hashtbl.create (max 16 count) in
     let dedup =
       List.fold_left
-        (fun acc r -> if List.exists (fun q -> Request.id q = Request.id r) acc then acc else r :: acc)
+        (fun acc r ->
+          let id = Request.id r in
+          if Hashtbl.mem seen id then acc
+          else begin
+            Hashtbl.add seen id ();
+            r :: acc
+          end)
         [] !hist
       |> List.rev
     in
-    let final =
-      if List.exists (fun q -> Request.id q = Request.id own_req) dedup then dedup
-      else dedup @ [ own_req ]
-    in
+    let final = if Hashtbl.mem seen (Request.id own_req) then dedup else dedup @ [ own_req ] in
     h.dead <- Some final;
     Aborted_with final
 
@@ -122,20 +126,24 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     match h.dead with
     | Some hist -> Aborted_with hist
     | None ->
-        (* announce *)
-        h.announced <- req :: h.announced;
-        Snap.update h.t.reqs ~pid:h.pid h.announced;
+        (* Alone, nobody reads our announcement and nobody else's request
+           is pending: every earlier invoke on the handle returned, so it
+           committed (its request is in the log) or aborted (the handle
+           is dead), and the helping choice could only return [req]. The
+           announcement and the choice are skipped, and the count is our
+           own. *)
+        let alone = h.t.n = 1 in
+        if not alone then begin
+          h.announced <- req :: h.announced;
+          Snap.update h.t.reqs ~pid:h.pid h.announced
+        end;
         (* Catch-up bound: every slot below the count is decided (C_j is
            written only after slot k's decision is appended), so
            consensus returns that decision (or aborts) whatever we
-           propose, and the helping choice can be skipped. Alone, the
-           count is our own. *)
-        let count = if h.t.n = 1 then 0 else read_count h in
+           propose, and the helping choice can be skipped. *)
+        let count = if alone then 0 else read_count h in
         let rec loop () =
-          if performed_mem h req then
-            (* decided during init replay or an earlier helping pass *)
-            finish_commit h req
-          else if P.read h.t.aborted then recover_and_abort h req
+          if P.read h.t.aborted then recover_and_abort h req
           else begin
             let k = h.next_slot in
             if k >= h.t.max_requests then
@@ -146,7 +154,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
                   Some h.init_hist.(k)
                 else None
               in
-              let proposal = if k < count then req else choose_proposal h ~slot:k req in
+              let proposal = if alone || k < count then req else choose_proposal h ~slot:k req in
               match (h.t.cons ~slot:k).Consensus_intf.run ~pid:h.pid ~old proposal with
               | Outcome.Abort _ -> recover_and_abort h req
               | Outcome.Commit None ->
@@ -162,5 +170,8 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
             end
           end
         in
-        loop ()
+        (* Decided during init replay or an earlier helping pass. Tested
+           once: later the request can become performed only as a slot's
+           own decision, which the id test in [loop] catches. *)
+        if performed_mem h req then finish_commit h req else loop ()
 end

@@ -62,11 +62,18 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       return aborts with the same history.
 
       Right after announcing, [invoke] reads the count [max_j C_j] ([n]
-      register reads, none when [n = 1]). Every slot below it is already
-      decided, so there the handle proposes its own request instead of
-      running the helping choice (a [Reqs] scan): consensus returns the
-      slot's decision whatever is proposed. The count is a local of the
-      invocation, re-read from the durable [C] registers by the next. *)
+      register reads). Every slot below it is already decided, so there
+      the handle proposes its own request instead of running the
+      helping choice (a [Reqs] scan): consensus returns the slot's
+      decision whatever is proposed. The count is a local of the
+      invocation, re-read from the durable [C] registers by the next.
+
+      Alone ([n = 1]) there is nobody to help: [invoke] neither
+      announces nor reads the count, and proposes its own request at
+      every slot. The helping choice would return that request anyway,
+      since every earlier invoke on the handle committed or killed it.
+      Each slot still reads [Aborted] and writes [C[0]], so recovery is
+      unchanged (it never reads [Reqs]). *)
 
   val performed : 'i handle -> 'i History.t
   (** The handle's local log of decided requests (diagnostics). *)

@@ -291,7 +291,7 @@ let test_typed_queue_sequential_fifo () =
 
 (* ---- incremental responses vs full replay ------------------------------ *)
 
-(* One run of split > bakery > cas at n = 3. Each process applies [ops]
+(* One run of split > bakery > cas at [n]. Each process applies [ops]
    requests, then re-applies its last one (the [Service.recover] path).
    [typed] answers through [Typed.apply]'s response cache; otherwise each
    answer is [β(h, m)] over the full commit history. Neither takes a
@@ -299,8 +299,8 @@ let test_typed_queue_sequential_fifo () =
    same schedule. Also returns how many requests switched stage after
    their handle had already answered one: those switches rebuild a
    non-empty cache. *)
-let diff_run ~typed ~policy spec payload =
-  let n = 3 and ops = 5 in
+let diff_run ~n ~typed ~policy spec payload =
+  let ops = 5 in
   let sim = Sim.create ~max_steps:20_000_000 ~n () in
   let module P = (val Scs_prims.Sim_prims.make sim) in
   let module UO = Scs_universal.Uc_object.Make (P) in
@@ -358,11 +358,11 @@ let show_resps spec runs =
 
 (* true iff the two runs agree op by op and every re-applied request
    answered as before; adds the cached run's late switches *)
-let diff_case (spec : (_, _, _) Spec.t) payload ~switches seed =
+let diff_case ~n (spec : (_, _, _) Spec.t) payload ~switches seed =
   List.for_all
     (fun (pname, policy) ->
-      let cached, sw = diff_run ~typed:true ~policy:(policy seed) spec payload in
-      let replayed, _ = diff_run ~typed:false ~policy:(policy seed) spec payload in
+      let cached, sw = diff_run ~n ~typed:true ~policy:(policy seed) spec payload in
+      let replayed, _ = diff_run ~n ~typed:false ~policy:(policy seed) spec payload in
       switches := !switches + sw;
       let again_same rs =
         match List.rev rs with again :: last :: _ -> spec.Spec.equal_resp again last | _ -> false
@@ -372,8 +372,9 @@ let diff_case (spec : (_, _, _) Spec.t) payload ~switches seed =
         && Array.for_all again_same cached
       in
       if not ok then
-        QCheck.Test.fail_reportf "%s seed %d %s: cached [%s] vs replayed [%s]%s" spec.Spec.name
-          seed pname (show_resps spec cached) (show_resps spec replayed) Test_seed.label;
+        QCheck.Test.fail_reportf "%s n=%d seed %d %s: cached [%s] vs replayed [%s]%s"
+          spec.Spec.name n seed pname (show_resps spec cached) (show_resps spec replayed)
+          Test_seed.label;
       ok)
     diff_policies
 
@@ -384,7 +385,8 @@ let kv_payload pid k =
   if (pid + k) mod 3 = 1 then Scs_shard.Kv.Get key else Scs_shard.Kv.Put (key, (10 * pid) + k)
 
 (* Seeds are not shrunk: a smaller list can only lose the switches the
-   property requires. *)
+   property requires. Only the n = 3 runs switch; the n = 1 runs take
+   the alone path (no announcement, no helping choice). *)
 let prop_typed_matches_replay =
   QCheck.Test.make ~count:25 ~name:"Typed.apply matches full-history replay (queue, kv)"
     (QCheck.make
@@ -395,8 +397,11 @@ let prop_typed_matches_replay =
       let ok =
         List.for_all
           (fun seed ->
-            diff_case Objects.queue queue_payload ~switches seed
-            && diff_case (Scs_shard.Kv.spec ~buckets:2) kv_payload ~switches seed)
+            List.for_all
+              (fun n ->
+                diff_case ~n Objects.queue queue_payload ~switches seed
+                && diff_case ~n (Scs_shard.Kv.spec ~buckets:2) kv_payload ~switches seed)
+              [ 3; 1 ])
           seeds
       in
       if ok && !switches = 0 then
@@ -812,6 +817,81 @@ let test_solo_reads_no_count () =
   in
   Alcotest.(check int) "C reads" 0 (List.length c_reads)
 
+(* ---- alone: no announcement, no helping choice ------------------------- *)
+
+(* An n = 1 Typed register over [stages] (split, then CAS for the
+   fallback): pid 0 applies [ops] mixed writes and reads under tracing.
+   Returns the answers, the full commit log (a re-invoke of the last
+   request returns it without taking a slot), the switch lengths and the
+   trace. *)
+let solo_register ~ops stages =
+  let sim = Sim.create ~n:1 () in
+  Sim.set_trace sim true;
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module SC = Scs_consensus.Split_consensus.Make (P) in
+  let module CC = Scs_consensus.Cas_consensus.Make (P) in
+  let split ~name ~slot:_ = SC.instance (SC.create ~name ()) in
+  let cas ~name ~slot:_ = CC.instance (CC.create ~name ()) in
+  let uc = UO.create ~name:"uc" ~n:1 ~max_requests:(ops + 8) ~stages:(stages ~split ~cas) () in
+  let obj = UO.Typed.create Objects.register uc in
+  let reqs =
+    List.init ops (fun k ->
+        Request.make (k + 1) (if k mod 3 = 2 then Objects.Reg_read else Objects.Reg_write k))
+  in
+  let answers = ref [] and log = ref [] and switches = ref [] in
+  Sim.spawn sim 0 (fun () ->
+      let th = UO.Typed.handle obj ~pid:0 in
+      List.iter (fun req -> answers := (Request.id req, UO.Typed.apply th req) :: !answers) reqs;
+      let ph = UO.Typed.phandle th in
+      log := UO.invoke ph (List.nth reqs (ops - 1));
+      switches := UO.switch_lengths ph);
+  Sim.run sim (Policy.solo 0);
+  (List.rev !answers, !log, !switches, Sim.trace sim)
+
+(* "uc.stage<k>.Reqs.<register>" *)
+let reqs_event name =
+  match String.split_on_char '.' name with
+  | "uc" :: _ :: "Reqs" :: _ -> true
+  | _ -> false
+
+(* Alone, nobody reads an announcement: no event touches [Reqs]. Every
+   answer is the one [History.beta_at] gives on the full log, and the
+   log holds the requests in invocation order. *)
+let check_solo_run what ~ops (answers, log, _, trace) =
+  Alcotest.(check int)
+    (what ^ ": Reqs events") 0
+    (List.length (List.filter (fun e -> reqs_event e.Mem_event.obj_name) trace));
+  Alcotest.(check (list int))
+    (what ^ ": log order") (List.init ops (fun k -> k + 1)) (List.map Request.id log);
+  List.iter
+    (fun (id, r) ->
+      if History.beta_at Objects.register log id <> Some r then
+        Alcotest.failf "%s: request %d answered %s" what id (Objects.register.Spec.show_resp r))
+    answers
+
+(* Census: a 200-op n = 1 UC neither writes nor scans [Reqs]. *)
+let test_solo_census () =
+  check_solo_run "census" ~ops:200 (solo_register ~ops:200 (fun ~split ~cas:_ -> [ split ]))
+
+(* A stage 0 that aborts from slot [j] onward forces one switch at
+   n = 1: recovery probes slots 0 .. j-1, and the abort history it hands
+   to the fallback stage is those [j] requests plus the aborting one.
+   Neither stage touches [Reqs], and the fallback answers the rest. *)
+let test_solo_switch () =
+  let j = 12 in
+  let abort ~name:_ ~slot:_ =
+    Scs_consensus.Consensus_intf.wrap ~name:"abort" (fun ~pid:_ _ ->
+        Scs_composable.Outcome.Abort None)
+  in
+  let run =
+    solo_register ~ops:40 (fun ~split ~cas ->
+        [ (fun ~name ~slot -> if slot < j then split ~name ~slot else abort ~name ~slot); cas ])
+  in
+  let _, _, switches, _ = run in
+  Alcotest.(check (list int)) "switch lengths" [ j + 1 ] switches;
+  check_solo_run "switch" ~ops:40 run
+
 (* ---- Typed's last-answer cache ------------------------------------------ *)
 
 (* A native Typed fetch&inc at n = 2 whose spec counts its applies;
@@ -888,6 +968,8 @@ let tests =
     Alcotest.test_case "uc: catch-up below the count (n=2)" `Quick test_catch_up_n2;
     Alcotest.test_case "uc: catch-up below the count (n=3)" `Quick test_catch_up_n3;
     Alcotest.test_case "uc: a solo UC reads no count" `Quick test_solo_reads_no_count;
+    Alcotest.test_case "uc: a solo UC never touches Reqs" `Quick test_solo_census;
+    Alcotest.test_case "uc: a solo UC switches and answers on" `Quick test_solo_switch;
     Alcotest.test_case "uc: Typed keeps the last answer" `Quick test_typed_last_answer;
   ]
 
