@@ -81,7 +81,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
 
   let fallback_apply h uh req =
     match U.invoke uh req with
-    | Scs_universal.Universal.Committed hist -> response_from_history h req hist
+    | Scs_universal.Universal.Committed -> response_from_history h req (U.performed uh)
     | Scs_universal.Universal.Aborted_with _ ->
         (* single CAS stage: unreachable *)
         failwith "Spec_object: wait-free stage aborted"

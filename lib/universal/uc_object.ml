@@ -84,9 +84,11 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
 
   let phandle t ~pid = { t; pid; stage = 0; h = U.handle (stage t 0) ~pid ~init:[]; switches = [] }
 
-  let rec invoke ph req =
+  (* Run [req] through the chain until a stage commits it: it is then
+     in [ph.h]'s log. *)
+  let rec commit ph req =
     match U.invoke ph.h req with
-    | Universal.Committed hist -> hist
+    | Universal.Committed -> ()
     | Universal.Aborted_with hist ->
         if ph.stage + 1 >= Array.length ph.t.stages then
           failwith "Uc_object.invoke: final stage aborted"
@@ -94,8 +96,12 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
           ph.switches <- List.length hist :: ph.switches;
           ph.stage <- ph.stage + 1;
           ph.h <- U.handle (stage ph.t ph.stage) ~pid:ph.pid ~init:hist;
-          invoke ph req
+          commit ph req
         end
+
+  let invoke ph req =
+    commit ph req;
+    U.performed ph.h
 
   let stage_of ph = ph.stage
   let switch_lengths ph = List.rev ph.switches
@@ -106,7 +112,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     let create spec chain = { spec; chain }
 
     (* The response cache: [state] is the spec state after the first
-       [applied] entries of stage [stage]'s commit log, and [last] the
+       [applied] entries of stage [stage]'s log (the cursor), and [last] the
        id and response of the request [apply] returned last (ids are
        unique in a log: the construction deduplicates decisions).
        DESIGN.md §4 argues why the cache is sound. *)
@@ -131,22 +137,23 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
 
     let phandle h = h.ph
 
-    let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
-
-    (* The response of [id] in [hist], by replaying the log from the
-       spec's initial state: the path of a request committed before the
-       last answer. *)
-    let replay spec hist id =
-      let rec go q = function
-        | [] -> None
-        | r :: tl ->
-            let q, resp = spec.Spec.apply q (Request.payload r) in
-            if Request.id r = id then Some resp else go q tl
+    (* The response of [id] in the log of [uh], by replaying the log's
+       prefix from the spec's initial state: the path of a request
+       committed before the last answer. *)
+    let replay spec uh id =
+      let len = U.log_length uh in
+      let rec go q i =
+        if i >= len then None
+        else begin
+          let r = U.log_get uh i in
+          let q, resp = spec.Spec.apply q (Request.payload r) in
+          if Request.id r = id then Some resp else go q (i + 1)
+        end
       in
-      go spec.Spec.init hist
+      go spec.Spec.init 0
 
     let apply h req =
-      let hist = invoke h.ph req in
+      commit h.ph req;
       if h.ph.stage <> h.stage then begin
         (* a new stage's log starts from the transferred history: the
            one rebuild a switch costs *)
@@ -155,18 +162,18 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
         h.applied <- 0;
         h.last <- None
       end;
-      let id = Request.id req in
-      List.iter
-        (fun r ->
-          let q, resp = h.spec.Spec.apply h.state (Request.payload r) in
-          h.state <- q;
-          h.applied <- h.applied + 1;
-          if Request.id r = id then h.last <- Some (id, resp))
-        (drop h.applied hist);
+      let uh = h.ph.h and id = Request.id req in
+      for i = h.applied to U.log_length uh - 1 do
+        let r = U.log_get uh i in
+        let q, resp = h.spec.Spec.apply h.state (Request.payload r) in
+        h.state <- q;
+        h.applied <- i + 1;
+        if Request.id r = id then h.last <- Some (id, resp)
+      done;
       match h.last with
       | Some (id', r) when id' = id -> r
       | _ -> (
-          match replay h.spec hist id with
+          match replay h.spec uh id with
           | Some r ->
               h.last <- Some (id, r);
               r

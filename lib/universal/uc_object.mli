@@ -51,8 +51,10 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
 
   val invoke : 'i phandle -> 'i Request.t -> 'i History.t
   (** Run the request through the chain until some stage commits; returns
-      the commit history. Raises [Failure] if even the last stage aborts
-      (impossible with a wait-free closing stage). *)
+      that stage's local log ({!U.performed}, built in O(h)). Raises
+      [Failure] if even the last stage aborts (impossible with a
+      wait-free closing stage). {!Typed.apply} commits the same way but
+      builds no list. *)
 
   val stage_of : 'i phandle -> int
   (** Index of the stage the process is currently using (0-based). *)
@@ -78,11 +80,13 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
 
     val apply : ('q, 'i, 'r) handle -> 'i Request.t -> 'r
     (** Commit the request and return its response, [β(h, m)] for the
-        commit history [h]. Only the entries decided since the handle's
-        last call go through the spec; after a stage switch the cache is
-        rebuilt once from the new stage's log. Re-applying the request
-        answered last (the crash-recovery path) returns the same
-        response with no spec apply; re-applying an older committed
-        request returns its response by replaying the stage's log. *)
+        commit history [h]. The cache keeps a cursor into the stage's
+        local log: only the entries from the cursor to the log's end,
+        read by index ({!U.log_get}), go through the spec, and no copy
+        of the log is made. After a stage switch the cache is rebuilt
+        once from the new stage's log. Re-applying the request answered
+        last (the crash-recovery path) returns the same response with no
+        spec apply; re-applying an older committed request returns its
+        response by replaying the log's prefix up to it. *)
   end
 end

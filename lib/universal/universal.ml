@@ -1,9 +1,10 @@
 open Scs_spec
 open Scs_composable
 open Scs_consensus
+module Vec = Scs_util.Vec
 
 type 'i abstract_outcome =
-  | Committed of 'i History.t
+  | Committed
   | Aborted_with of 'i History.t
 
 module Make (P : Scs_prims.Prims_intf.S) = struct
@@ -22,8 +23,8 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
     t : 'i t;
     pid : int;
     init_hist : 'i Request.t array;
-    mutable lperf : 'i Request.t list;  (** reversed local log (deduplicated) *)
-    mutable next_slot : int;  (** slots processed; ≥ |lperf| (duplicates collapse) *)
+    log : 'i Request.t Vec.t;  (** local log, oldest first (deduplicated) *)
+    mutable next_slot : int;  (** slots processed; ≥ |log| (duplicates collapse) *)
     mutable announced : 'i Request.t list;  (** newest first *)
     mutable dead : 'i History.t option;  (** abort history once aborted *)
   }
@@ -43,20 +44,21 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
       t;
       pid;
       init_hist = Array.of_list init;
-      lperf = [];
+      log = Vec.create ();
       next_slot = 0;
       announced = [];
       dead = None;
     }
 
-  let performed h = List.rev h.lperf
+  let performed h = Vec.to_list h.log
+  let log_length h = Vec.length h.log
+  let log_get h i = Vec.get h.log i
 
   let performed_mem h req =
     let id = Request.id req in
-    List.exists (fun r -> Request.id r = id) h.lperf
+    Vec.exists (fun r -> Request.id r = id) h.log
 
-  let append_decided h req =
-    if not (performed_mem h req) then h.lperf <- req :: h.lperf
+  let append_decided h req = if not (performed_mem h req) then Vec.push h.log req
 
   (* The paper's counter: the number of slots known decided by anyone
      who might have returned a commit. Read at recovery, and by [invoke]
@@ -120,7 +122,7 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
      processed; re-read the flag last, so an aborter that set it is
      guaranteed (flag principle) to see our count when it recovers. *)
   let finish_commit h req =
-    if P.read h.t.aborted then recover_and_abort h req else Committed (performed h)
+    if P.read h.t.aborted then recover_and_abort h req else Committed
 
   let invoke h req =
     match h.dead with
@@ -164,9 +166,12 @@ module Make (P : Scs_prims.Prims_intf.S) = struct
                   failwith "Universal.invoke: consensus slot decided ⊥"
               | Outcome.Commit (Some decided) ->
                   h.next_slot <- k + 1;
-                  append_decided h decided;
+                  let own = Request.id decided = Request.id req in
+                  (* [req] is not in the log yet (the test before [loop]),
+                     so its own decision is appended without a scan *)
+                  if own then Vec.push h.log decided else append_decided h decided;
                   P.write h.t.c.(h.pid) h.next_slot;
-                  if Request.id decided = Request.id req then finish_commit h req else loop ()
+                  if own then finish_commit h req else loop ()
             end
           end
         in

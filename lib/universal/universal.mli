@@ -27,9 +27,9 @@
 open Scs_spec
 
 type 'i abstract_outcome =
-  | Committed of 'i History.t
-      (** the committed (prefix) history; the response to the request is
-          [β(h, m)] *)
+  | Committed
+      (** the request is in the handle's local log, the commit history
+          [h] ({!Make.performed}); the response is [β(h, m)] *)
   | Aborted_with of 'i History.t  (** the abort history *)
 
 module Make (P : Scs_prims.Prims_intf.S) : sig
@@ -76,5 +76,14 @@ module Make (P : Scs_prims.Prims_intf.S) : sig
       unchanged (it never reads [Reqs]). *)
 
   val performed : 'i handle -> 'i History.t
-  (** The handle's local log of decided requests (diagnostics). *)
+  (** The handle's local log of decided requests, oldest first: the
+      commit history as a list, built in O(h) on each call. *)
+
+  val log_length : 'i handle -> int
+  (** Length of the local log. It only grows: a commit appends the
+      slots it walked and never rewrites an entry. *)
+
+  val log_get : 'i handle -> int -> 'i Request.t
+  (** [log_get h i] is entry [i] of the local log, in O(1). Raises
+      [Invalid_argument] unless [0 <= i < log_length h]. *)
 end

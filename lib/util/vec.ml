@@ -76,8 +76,10 @@ let fold_left f init t =
   done;
   !acc
 
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0
+(* A top-level loop: [exists] allocates no closure of its own, since the
+   UC runs it on every log scan. *)
+let rec exists_from p t i = i < t.len && (p t.data.(i) || exists_from p t (i + 1))
+
+let exists p t = exists_from p t 0
 
 let last t = if t.len = 0 then None else Some t.data.(t.len - 1)

@@ -85,7 +85,8 @@ let run ?(seed = 42) ?max_requests ?(crashes = []) ~n ~ops_per_proc ~stages ~pol
             else push_stage s (Abstract_check.Invoke { seq = next_seq (); pid; req });
             fresh_on_stage := false;
             match U.invoke !handle req with
-            | Scs_universal.Universal.Committed hist ->
+            | Scs_universal.Universal.Committed ->
+                let hist = U.performed !handle in
                 push_stage s (Abstract_check.Commit { seq = next_seq (); pid; req; hist });
                 commit_hists := (pid, hist) :: !commit_hists;
                 Trace.commit outer ~pid req ()

@@ -939,6 +939,129 @@ let test_typed_last_answer () =
         1 );
     ]
 
+(* ---- Typed's cursor into the log ---------------------------------------- *)
+
+(* [n] processes each apply [ops] requests to one Typed sum whose payload
+   is the request id; stage 0 aborts from slot 5 on, so every process
+   switches to the CAS stage. The spec records the payloads it applies.
+   After every apply, the entries applied since the process's last
+   switch must be its current log, which [UO.invoke] of the request just
+   applied returns without taking a slot, and the answer must be the one
+   the log gives. At the end each process re-applies its first request:
+   it is answered by replaying the log's prefix up to that request, one
+   spec apply per entry. Returns the failures. *)
+let typed_cursor_run ~n policy =
+  let ops = 8 in
+  let sim = Sim.create ~n () in
+  let module P = (val Scs_prims.Sim_prims.make sim) in
+  let module UO = Scs_universal.Uc_object.Make (P) in
+  let module CC = Scs_consensus.Cas_consensus.Make (P) in
+  let cas ~name ~slot:_ = CC.instance (CC.create ~name ()) in
+  let abort ~name:_ ~slot:_ =
+    Scs_consensus.Consensus_intf.wrap ~name:"abort" (fun ~pid:_ _ ->
+        Scs_composable.Outcome.Abort None)
+  in
+  let uc =
+    UO.create ~name:"cur" ~n ~max_requests:((n * ops) + 8)
+      ~stages:[ (fun ~name ~slot -> if slot < 5 then cas ~name ~slot else abort ~name ~slot); cas ]
+      ()
+  in
+  let sum = Spec.make ~name:"sum" ~init:0 ~apply:(fun q x -> (q + x, q)) () in
+  let seen = Array.make n [] and failures = ref [] in
+  let fail pid fmt =
+    Printf.ksprintf (fun m -> failures := Printf.sprintf "pid %d: %s" pid m :: !failures) fmt
+  in
+  let ids l = String.concat "," (List.map string_of_int l) in
+  for pid = 0 to n - 1 do
+    let recording =
+      Spec.make ~name:"sum" ~init:0
+        ~apply:(fun q x ->
+          seen.(pid) <- x :: seen.(pid);
+          sum.Spec.apply q x)
+        ()
+    in
+    Sim.spawn sim pid (fun () ->
+        let h = UO.Typed.handle (UO.Typed.create recording uc) ~pid in
+        let ph = UO.Typed.phandle h in
+        let reqs = List.init ops (fun k -> Request.make (1 + pid + (n * k)) (1 + pid + (n * k))) in
+        let consumed = ref [] and typed_stage = ref 0 in
+        List.iter
+          (fun req ->
+            seen.(pid) <- [];
+            let r = UO.Typed.apply h req in
+            consumed := if UO.stage_of ph <> !typed_stage then seen.(pid) else seen.(pid) @ !consumed;
+            typed_stage := UO.stage_of ph;
+            let log = UO.invoke ph req in
+            (* unless the re-invoke met an abort and switched itself *)
+            if UO.stage_of ph = !typed_stage && List.rev !consumed <> List.map Request.id log then
+              fail pid "after %d: cursor consumed [%s], log [%s]" (Request.id req)
+                (ids (List.rev !consumed))
+                (ids (List.map Request.id log));
+            if History.beta_at sum log (Request.id req) <> Some r then
+              fail pid "request %d answered %d" (Request.id req) r)
+          reqs;
+        if UO.stage_of ph <> 1 then fail pid "ended on stage %d" (UO.stage_of ph);
+        let first = List.hd reqs in
+        let log = UO.invoke ph first in
+        seen.(pid) <- [];
+        let r = UO.Typed.apply h first in
+        if History.beta_at sum log (Request.id first) <> Some r then
+          fail pid "re-applied request %d answered %d" (Request.id first) r;
+        let rec upto = function
+          | [] -> []
+          | e :: tl -> Request.id e :: (if Request.id e = Request.id first then [] else upto tl)
+        in
+        let replayed = List.rev seen.(pid) in
+        if replayed <> upto log then
+          fail pid "re-apply replayed [%s], log prefix [%s]" (ids replayed) (ids (upto log)))
+  done;
+  Sim.run sim policy;
+  List.rev !failures
+
+let test_typed_cursor () =
+  let check what failures =
+    if failures <> [] then Alcotest.failf "%s: %s" what (String.concat "; " failures)
+  in
+  check "n=1" (typed_cursor_run ~n:1 (Policy.solo 0));
+  List.iter
+    (fun (pname, policy) ->
+      for seed = 1 to 10 do
+        check (Printf.sprintf "n=2 %s seed %d" pname seed) (typed_cursor_run ~n:2 (policy seed))
+      done)
+    diff_policies
+
+(* ---- allocation per op against history length --------------------------- *)
+
+(* Minor words per op of a native n = 1 Typed register over a split
+   stage (CAS behind it), driven through whole generations: each fresh
+   object of [capacity] slots takes [capacity - 4] ops, then the next
+   one is built, as the benchmark's arena does. *)
+let solo_words_per_op ~capacity ~ops =
+  let module SC = Scs_consensus.Split_consensus.Make (Scs_prims.Native_prims) in
+  let split ~name ~slot:_ = SC.instance (SC.create ~name ()) in
+  let per_gen = capacity - 4 in
+  let gens = ops / per_gen in
+  let before = Gc.minor_words () in
+  for _ = 1 to gens do
+    let uc = NUO.create ~name:"alloc" ~n:1 ~max_requests:capacity ~stages:[ split; cas_stage ] () in
+    let h = NUO.Typed.handle (NUO.Typed.create Objects.register uc) ~pid:0 in
+    for k = 1 to per_gen do
+      let payload = if k mod 3 = 0 then Objects.Reg_read else Objects.Reg_write k in
+      ignore (NUO.Typed.apply h (Request.make k payload))
+    done
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (gens * per_gen)
+
+(* A commit allocates no copy of the log, so an op's allocation does not
+   grow with the history: at capacity 1,024 a generation's ops allocate
+   about what they do at capacity 64 (a deterministic count). *)
+let test_alloc_flat_in_history () =
+  let ops = 2_040 in
+  let short = solo_words_per_op ~capacity:64 ~ops in
+  let long = solo_words_per_op ~capacity:1_024 ~ops in
+  if long > 1.25 *. short || short > 1.25 *. long then
+    Alcotest.failf "minor words/op: %.0f at capacity 64, %.0f at capacity 1024" short long
+
 let tests =
   [
     Alcotest.test_case "snapshot solo" `Quick test_snapshot_solo;
@@ -971,6 +1094,9 @@ let tests =
     Alcotest.test_case "uc: a solo UC never touches Reqs" `Quick test_solo_census;
     Alcotest.test_case "uc: a solo UC switches and answers on" `Quick test_solo_switch;
     Alcotest.test_case "uc: Typed keeps the last answer" `Quick test_typed_last_answer;
+    Alcotest.test_case "uc: Typed's cursor reads the log" `Quick test_typed_cursor;
+    Alcotest.test_case "uc: op allocation flat in history length" `Quick
+      test_alloc_flat_in_history;
   ]
 
 (* Run by CI under several SCS_QCHECK_SEED values. *)
